@@ -5,7 +5,7 @@ rationals; square roots only ever appear inside an exact sign comparator
 or in display strings.
 """
 
-from .cusp import CuspLattice, SqrtSum, cmp_sqrt3
+from .cusp import CuspLattice, cmp_sqrt3
 from .families import (
     FamilySpec,
     fig8_dataset,
@@ -29,8 +29,6 @@ from .slopes import (
     Slope,
     distance,
     enumerate_slopes,
-    normalize_slope,
-    numeric_value,
 )
 from .verify import (
     EQUALITY,
@@ -38,12 +36,17 @@ from .verify import (
     HOLDS,
     NOT_APPLICABLE,
     VerifyReport,
+    cor_euler_applies,
     corollary_euler,
+    extremal_pair,
     family_ratio_unbounded,
+    integral_extremal_pair,
     prop4_hypothesis,
     prop6_condition,
     standard_reports,
+    surface_pairs,
     sweep_norm_vs_length,
+    thm1_slopes,
     verify_cor_ubdiam,
     verify_norm_ge_length,
     verify_prop_length,
@@ -58,12 +61,9 @@ __all__ = [
     "Slope",
     "MERIDIAN",
     "LONGITUDE",
-    "normalize_slope",
     "distance",
-    "numeric_value",
     "enumerate_slopes",
     "CuspLattice",
-    "SqrtSum",
     "cmp_sqrt3",
     "CSNormData",
     "BoundarySlopeSet",
@@ -91,6 +91,11 @@ __all__ = [
     "corollary_euler",
     "family_ratio_unbounded",
     "standard_reports",
+    "thm1_slopes",
+    "extremal_pair",
+    "integral_extremal_pair",
+    "surface_pairs",
+    "cor_euler_applies",
     "FamilySpec",
     "fig8_dataset",
     "pretzel_dataset",

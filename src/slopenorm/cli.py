@@ -17,14 +17,19 @@ import sys
 
 from .families import fig8_dataset, FamilySpec
 from .manifold import ManifoldData, ManifoldFormatError, load, save, to_document
-from .slopes import MERIDIAN, Slope, distance
+from .slopes import Slope, distance
 from .verify import (
     VerifyReport,
+    cor_euler_applies,
     corollary_euler,
+    extremal_pair,
+    integral_extremal_pair,
     prop4_hypothesis,
     prop6_condition,
     standard_reports,
+    surface_pairs,
     sweep_norm_vs_length,
+    thm1_slopes,
     verify_cor_ubdiam,
     verify_norm_ge_length,
     verify_prop_length,
@@ -50,6 +55,9 @@ VERIFY_STATEMENTS = (
     "all",
 )
 
+# statements that read -r, with the number of slopes each takes (None: any)
+SLOPE_COUNTS = {"thm1": None, "thm2": 2, "thm3": None, "prop-length": 2, "prop-norm": 2}
+
 
 class _UsageError(Exception):
     pass
@@ -70,6 +78,16 @@ def _merge_slope_flags(argv: list[str]) -> list[str]:
     return out
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopenorm",
@@ -87,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("statement", choices=VERIFY_STATEMENTS)
     p_verify.add_argument("-m", "--manifold", required=True, metavar="PATH")
     p_verify.add_argument("-r", "--slope", action="append", default=[], metavar="P/Q")
-    p_verify.add_argument("--range", type=int, dest="sweep", metavar="N")
+    p_verify.add_argument("--range", type=_positive_int, dest="sweep", metavar="N")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
 
     p_family = sub.add_parser("family", help="emit a built-in dataset")
@@ -103,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="summarize every check on a manifold")
     p_report.add_argument("-m", "--manifold", required=True, metavar="PATH")
-    p_report.add_argument("--range", type=int, dest="sweep", metavar="N")
+    p_report.add_argument("--range", type=_positive_int, dest="sweep", metavar="N")
     p_report.add_argument("--format", choices=["text", "json"], default="text")
 
     return parser
@@ -166,87 +184,49 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _extremal_pair(m: ManifoldData) -> tuple[Slope, Slope]:
-    finite = m.boundary_slopes.finite
-    if len(finite) < 2:
-        raise _UsageError("need two finite boundary slopes or two -r arguments")
-    return finite[-1], finite[0]
-
-
-def _integral_extremal_pair(m: ManifoldData) -> tuple[Slope, Slope]:
-    finite = m.boundary_slopes.finite
-    if not finite:
-        raise _UsageError("no finite boundary slopes")
-    return (
-        Slope(math.ceil(finite[-1].value()), 1),
-        Slope(math.floor(finite[0].value()), 1),
-    )
-
-
 def _cmd_verify(args) -> int:
-    m = _load_manifold(args.manifold)
-    slopes = _parse_slopes(args.slope)
     stmt = args.statement
-    reports: list[VerifyReport] = []
+    if args.slope and stmt not in SLOPE_COUNTS:
+        raise _UsageError(f"{stmt} takes no -r/--slope arguments")
+    if args.sweep is not None and (stmt not in ("thm1", "all") or args.slope):
+        raise _UsageError("--range applies only to thm1 and all, without -r/--slope")
+    slopes = _parse_slopes(args.slope, SLOPE_COUNTS[stmt] if args.slope else None)
+    m = _load_manifold(args.manifold)
+    bset = m.boundary_slopes
 
     if stmt == "all":
         reports = standard_reports(m, sweep_range=args.sweep)
     elif stmt == "thm1":
         if args.sweep:
-            reports.append(sweep_norm_vs_length(m, args.sweep))
-        elif slopes:
-            reports.extend(verify_norm_ge_length(m, r) for r in slopes)
+            reports = [sweep_norm_vs_length(m, args.sweep)]
         else:
-            checked = list(m.boundary_slopes)
-            if MERIDIAN not in m.boundary_slopes:
-                checked.append(MERIDIAN)
-            reports.extend(verify_norm_ge_length(m, r) for r in checked)
+            reports = [verify_norm_ge_length(m, r) for r in slopes or thm1_slopes(m)]
     elif stmt == "thm2":
-        r1, r2 = slopes if len(slopes) == 2 else _integral_extremal_pair(m)
-        reports.append(verify_thm_length_norm(m, r1, r2))
+        reports = [verify_thm_length_norm(m, *(slopes or integral_extremal_pair(bset)))]
     elif stmt == "thm3":
-        targets = slopes if slopes else list(m.boundary_slopes.finite)
-        if not targets:
-            raise _UsageError("no finite boundary slopes to check")
-        reports.extend(verify_thm_diam(m, r) for r in targets)
+        reports = [verify_thm_diam(m, r) for r in slopes or bset.finite]
     elif stmt == "prop-length":
         if m.cusp is None:
             raise _UsageError("manifold has no cusp data")
-        r1, r2 = slopes if len(slopes) == 2 else _extremal_pair(m)
-        reports.append(verify_prop_length(m.cusp, r1, r2))
+        reports = [verify_prop_length(m.cusp, *(slopes or extremal_pair(bset)))]
     elif stmt == "prop-norm":
         if m.norm is None:
             raise _UsageError("manifold has no norm data")
-        r1, r2 = slopes if len(slopes) == 2 else _extremal_pair(m)
-        reports.append(verify_prop_norm(m.norm, r1, r2, m.boundary_slopes))
+        reports = [verify_prop_norm(m.norm, *(slopes or extremal_pair(bset)), bset)]
     elif stmt == "prop4":
-        reports.append(prop4_hypothesis(m))
+        reports = [prop4_hypothesis(m)]
     elif stmt == "prop6":
-        pairs = [
-            (s1, s2)
-            for i, s1 in enumerate(m.surfaces)
-            for s2 in m.surfaces[i + 1 :]
-            if s1.slope != s2.slope
-        ]
+        pairs = surface_pairs(m)
         if not pairs:
             raise _UsageError("no surface pairs with distinct slopes")
-        reports.extend(prop6_condition(s1, s2) for s1, s2 in pairs)
+        reports = [prop6_condition(s1, s2) for s1, s2 in pairs]
     elif stmt == "cor-ubdiam":
-        reports.append(verify_cor_ubdiam(m))
-    elif stmt == "cor-euler":
-        pairs = [
-            (s1, s2)
-            for i, s1 in enumerate(m.surfaces)
-            for s2 in m.surfaces[i + 1 :]
-            if s1.slope != s2.slope
-            and not s1.slope.is_meridian
-            and not s2.slope.is_meridian
-            and s1.euler < 0
-            and s2.euler < 0
-        ]
+        reports = [verify_cor_ubdiam(m)]
+    else:
+        pairs = [(s1, s2) for s1, s2 in surface_pairs(m) if cor_euler_applies(s1, s2)]
         if not pairs:
             raise _UsageError("no eligible surface pairs")
-        reports.extend(corollary_euler(s1.slope, s2.slope, s1, s2) for s1, s2 in pairs)
+        reports = [corollary_euler(s1.slope, s2.slope, s1, s2) for s1, s2 in pairs]
 
     return _emit_reports(reports, args.format)
 

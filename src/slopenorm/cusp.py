@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import MERIDIAN, Slope, distance
+from .slopes import Slope, distance
 
-__all__ = ["CuspLattice", "SqrtSum", "cmp_sqrt3"]
+__all__ = ["CuspLattice", "cmp_sqrt3"]
 
 RationalLike = Fraction | int | str
 
@@ -48,31 +48,6 @@ def cmp_sqrt3(a: RationalLike, b: RationalLike, c: RationalLike) -> int:
 
 
 @dataclass(frozen=True)
-class SqrtSum:
-    """The formal quantity sqrt(a) + sqrt(b) - sqrt(c), all parts >= 0."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            value = Fraction(getattr(self, name))
-            if value < 0:
-                raise ValueError("negative input")
-            object.__setattr__(self, name, value)
-
-    def sign(self) -> int:
-        return cmp_sqrt3(self.a, self.b, self.c)
-
-    def __float__(self) -> float:
-        return math.sqrt(self.a) + math.sqrt(self.b) - math.sqrt(self.c)
-
-    def __str__(self) -> str:
-        return f"sqrt({self.a}) + sqrt({self.b}) - sqrt({self.c})"
-
-
-@dataclass(frozen=True)
 class CuspLattice:
     """Positive-definite Gram matrix of the horotorus translation lattice.
 
@@ -91,8 +66,10 @@ class CuspLattice:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.g_mm <= 0 or self.g_ll <= 0 or self.area_squared() <= 0:
             raise ValueError("Gram matrix is not positive definite")
-        if self.maximal and self.systole_squared()[0] < 1:
-            raise ValueError("maximal flag violates length >= 1")
+        if self.maximal:
+            systole, _ = self.systole_squared()
+            if systole < 1:
+                raise ValueError(f"maximal flag violates length >= 1 (systole^2 = {systole})")
 
     # -- quadratic form ----------------------------------------------------
 
@@ -179,6 +156,3 @@ class CuspLattice:
             raise ValueError("non-negative Euler characteristic")
         lhs = self.squared_length(surface.slope) * surface.b * surface.b
         return lhs <= 36 * surface.euler * surface.euler
-
-    def meridian_length_squared(self) -> Fraction:
-        return self.squared_length(MERIDIAN)

@@ -47,6 +47,29 @@ def fig8_dataset() -> ManifoldData:
     )
 
 
+def _check_pretzel_n(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 7 or n % 2 == 0:
+        raise ValueError("n must be an odd integer >= 7")
+
+
+def _twobridge_split(crossings, chi1=None, chi2=None) -> tuple[int, int]:
+    """Check two-bridge parameters and return the Euler split (chi1, chi2).
+
+    chi1 defaults to the most balanced split and chi2 to 2 - crossings - chi1.
+    """
+    if not isinstance(crossings, int) or isinstance(crossings, bool) or crossings < 3:
+        raise ValueError("crossing number must be an integer >= 3")
+    if chi1 is None:
+        chi1 = -((crossings - 1) // 2)
+    if chi2 is None:
+        chi2 = 2 - crossings - chi1
+    if chi1 >= 0 or chi2 >= 0:
+        raise ValueError("Euler characteristics must be negative")
+    if chi1 + chi2 != 2 - crossings:
+        raise ValueError("Euler characteristics must sum to 2 - crossings")
+    return chi1, chi2
+
+
 def pretzel_dataset(n: int) -> ManifoldData:
     """The (-2, 3, n)-pretzel knot exterior for odd n >= 7.
 
@@ -56,8 +79,7 @@ def pretzel_dataset(n: int) -> ManifoldData:
     by 3 the certified meridian-norm value 3n - 9 is attached; the full
     weight data is not known, so no norm terms are stored.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 7 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 7")
+    _check_pretzel_n(n)
     s1, s2 = Slope(16, 1), Slope(2 * n + 6, 1)
     surfaces = (
         SurfaceData(slope=s1, euler=6 - n, b=1, strict=True, ideal_point=True),
@@ -79,12 +101,7 @@ def twobridge_pair(crossings: int, chi1: int, chi2: int) -> VerifyReport:
     distance 2C, and split Euler characteristic as chi1 + chi2 = 2 - C.
     Verifies 2C >= 2((-chi1) + (-chi2)) = 2C - 4 >= 2*(-chi_i) for each i.
     """
-    if not isinstance(crossings, int) or isinstance(crossings, bool) or crossings < 3:
-        raise ValueError("crossing number must be an integer >= 3")
-    if chi1 >= 0 or chi2 >= 0:
-        raise ValueError("Euler characteristics must be negative")
-    if chi1 + chi2 != 2 - crossings:
-        raise ValueError("Euler characteristics must sum to 2 - crossings")
+    _twobridge_split(crossings, chi1, chi2)
     d = 2 * crossings
     mid = 2 * ((-chi1) + (-chi2))
     per = (2 * (-chi1), 2 * (-chi2))
@@ -108,13 +125,7 @@ def twobridge_dataset(crossings: int, chi1: int | None = None) -> ManifoldData:
     balanced one and must keep both characteristics negative, which needs
     C >= 4.
     """
-    if not isinstance(crossings, int) or isinstance(crossings, bool) or crossings < 3:
-        raise ValueError("crossing number must be an integer >= 3")
-    if chi1 is None:
-        chi1 = -((crossings - 2 + 1) // 2)
-    chi2 = 2 - crossings - chi1
-    report = twobridge_pair(crossings, chi1, chi2)  # validates the split
-    assert report.ok
+    chi1, chi2 = _twobridge_split(crossings, chi1)
     s1, s2 = Slope(0, 1), Slope(2 * crossings, 1)
     surfaces = (
         SurfaceData(slope=s1, euler=chi1, b=1, strict=True, ideal_point=True),
@@ -144,21 +155,15 @@ class FamilySpec:
         if self.family not in FAMILY_IDS:
             raise ValueError(f"unknown family: {self.family!r}")
         if self.family == "pretzel_2_3_n":
-            n = self.params.get("n")
-            if not isinstance(n, int) or n < 7 or n % 2 == 0:
-                raise ValueError("n must be an odd integer >= 7")
+            _check_pretzel_n(self.params.get("n"))
         if self.family == "two_bridge_abstract":
-            c = self.params.get("crossings")
-            if not isinstance(c, int) or c < 3:
-                raise ValueError("crossing number must be an integer >= 3")
             if ("chi1" in self.params) != ("chi2" in self.params):
                 raise ValueError("give both chi1 and chi2 or neither")
-            if "chi1" in self.params:
-                chi1, chi2 = self.params["chi1"], self.params["chi2"]
-                if chi1 >= 0 or chi2 >= 0:
-                    raise ValueError("Euler characteristics must be negative")
-                if chi1 + chi2 != 2 - c:
-                    raise ValueError("Euler characteristics must sum to 2 - crossings")
+            self._split()
+
+    def _split(self) -> tuple[int, int]:
+        params = self.params
+        return _twobridge_split(params.get("crossings"), params.get("chi1"), params.get("chi2"))
 
     def build(self) -> ManifoldData:
         if self.family == "figure_eight":
@@ -171,7 +176,4 @@ class FamilySpec:
         """Distance-bound report for the abstract two-bridge pair."""
         if self.family != "two_bridge_abstract":
             raise ValueError("hypothesis report only applies to the two-bridge family")
-        c = self.params["crossings"]
-        chi1 = self.params.get("chi1", -((c - 2 + 1) // 2))
-        chi2 = 2 - c - chi1
-        return twobridge_pair(c, chi1, chi2)
+        return twobridge_pair(self.params["crossings"], *self._split())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cusp import CuspLattice
-from .norm import BoundarySlopeSet, CSNormData
+from .norm import BoundarySlopeSet, CSNormData, is_norm_weight
 from .slopes import Slope
 
 __all__ = [
@@ -70,20 +70,33 @@ class ManifoldData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
-        problems = self._membership_problems()
+        problems = _consistency_problems(
+            self.boundary_slopes, self.norm, self.surfaces, self.meridian_norm_certificate
+        )
         if problems:
             raise ValueError("; ".join(problems))
 
-    def _membership_problems(self) -> list[str]:
-        problems = []
-        if self.norm is not None:
-            for s in self.norm.support:
-                if s not in self.boundary_slopes:
-                    problems.append(f"norm slope {s} not in boundary_slopes")
-        for surf in self.surfaces:
-            if surf.slope not in self.boundary_slopes:
-                problems.append(f"surface slope {surf.slope} not in boundary_slopes")
-        return problems
+
+def _consistency_problems(bset, norm, surfaces, certificate) -> list[str]:
+    """Invariants tying the parts of a ManifoldData together: the meridian
+    norm certificate, and boundary-slope membership (skipped without a set)."""
+    problems = []
+    if certificate is not None:
+        if not isinstance(certificate, int) or isinstance(certificate, bool):
+            problems.append("meridian_norm_certificate must be an integer")
+        elif certificate < 1:
+            problems.append("meridian_norm_certificate must be positive")
+        elif norm is not None and certificate != norm.meridian_norm():
+            problems.append(
+                f"meridian_norm_certificate {certificate} differs from norm(m) = {norm.meridian_norm()}"
+            )
+    if bset is not None:
+        if norm is not None:
+            problems += [f"norm slope {s} not in boundary_slopes" for s in norm.support if s not in bset]
+        problems += [
+            f"surface slope {surf.slope} not in boundary_slopes" for surf in surfaces if surf.slope not in bset
+        ]
+    return problems
 
 
 class ManifoldFormatError(ValueError):
@@ -92,6 +105,14 @@ class ManifoldFormatError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("invalid manifold document: " + "; ".join(self.problems))
+
+
+def _parse_flag(doc: dict, key: str, owner: str, problems: list[str]) -> bool:
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        problems.append(f"{owner} {key} flag must be a boolean")
+        return False
+    return value
 
 
 def _parse_cusp(doc, problems: list[str]) -> CuspLattice | None:
@@ -109,23 +130,14 @@ def _parse_cusp(doc, problems: list[str]) -> CuspLattice | None:
             entries[key] = _parse_rational(doc[key])
         except ValueError as exc:
             problems.append(f"cusp {key}: {exc}")
-    maximal = doc.get("maximal", False)
-    if not isinstance(maximal, bool):
-        problems.append("cusp maximal flag must be a boolean")
-        maximal = False
+    maximal = _parse_flag(doc, "maximal", "cusp", problems)
     if len(entries) != 3:
         return None
-    g_mm, g_ml, g_ll = entries["g_mm"], entries["g_ml"], entries["g_ll"]
-    if g_mm <= 0 or g_ll <= 0 or g_mm * g_ll - g_ml * g_ml <= 0:
-        problems.append("Gram matrix is not positive definite")
+    try:
+        return CuspLattice(entries["g_mm"], entries["g_ml"], entries["g_ll"], maximal=maximal)
+    except ValueError as exc:
+        problems.append(str(exc))
         return None
-    bare = CuspLattice(g_mm, g_ml, g_ll, maximal=False)
-    if maximal:
-        systole, _ = bare.systole_squared()
-        if systole < 1:
-            problems.append(f"maximal flag violates length >= 1 (systole^2 = {systole})")
-            return None
-    return CuspLattice(g_mm, g_ml, g_ll, maximal=maximal)
 
 
 def _parse_norm(doc, problems: list[str]) -> CSNormData | None:
@@ -146,7 +158,7 @@ def _parse_norm(doc, problems: list[str]) -> CSNormData | None:
         except ValueError as exc:
             local.append(f"norm term {i}: {exc}")
         weight = entry.get("weight")
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight <= 0 or weight % 2:
+        if not is_norm_weight(weight):
             local.append(f"norm term {i}: weight must be positive even")
             weight = None
         if slope is not None and weight is not None:
@@ -172,15 +184,16 @@ def _parse_surfaces(doc, problems: list[str]) -> tuple[SurfaceData, ...]:
         if not isinstance(entry, dict):
             problems.append(f"surface {i} must be an object")
             continue
+        strict = _parse_flag(entry, "strict", f"surface {i}", problems)
+        ideal_point = _parse_flag(entry, "ideal_point", f"surface {i}", problems)
         try:
-            slope = Slope.parse(str(entry.get("slope")))
             surfaces.append(
                 SurfaceData(
-                    slope=slope,
+                    slope=Slope.parse(str(entry.get("slope"))),
                     euler=entry.get("euler"),
                     b=entry.get("boundary_components"),
-                    strict=bool(entry.get("strict", False)),
-                    ideal_point=bool(entry.get("ideal_point", False)),
+                    strict=strict,
+                    ideal_point=ideal_point,
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -225,21 +238,9 @@ def from_document(doc) -> ManifoldData:
     surfaces = _parse_surfaces(doc.get("surfaces"), problems)
 
     certificate = doc.get("meridian_norm_certificate")
-    if certificate is not None and (not isinstance(certificate, int) or isinstance(certificate, bool)):
-        problems.append("meridian_norm_certificate must be an integer")
-        certificate = None
-
-    if bset is not None:
-        if norm is not None:
-            for s in norm.support:
-                if s not in bset:
-                    problems.append(f"norm slope {s} not in boundary_slopes")
-        for surf in surfaces:
-            if surf.slope not in bset:
-                problems.append(f"surface slope {surf.slope} not in boundary_slopes")
-
-    if problems or bset is None:
-        raise ManifoldFormatError(problems or ["missing boundary_slopes list"])
+    problems += _consistency_problems(bset, norm, surfaces, certificate)
+    if problems:
+        raise ManifoldFormatError(problems)
     return ManifoldData(
         name=name,
         boundary_slopes=bset,
@@ -284,12 +285,27 @@ def to_document(m: ManifoldData) -> dict:
 
 
 def load(path) -> ManifoldData:
-    """Read and validate a manifold document from a JSON file."""
+    """Read and validate a manifold document from a JSON file.
+
+    A key repeated within one JSON object makes the document ambiguous, so
+    every repetition is reported instead of letting the last value win.
+    """
+    duplicates: list[str] = []
+
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            duplicates.extend(f"duplicate key {key!r}" for key in doc if keys.count(key) > 1)
+        return doc
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ManifoldFormatError([f"malformed JSON: {exc}"]) from exc
+    if duplicates:
+        raise ManifoldFormatError(duplicates)
     return from_document(doc)
 
 

@@ -20,6 +20,11 @@ from .slopes import MERIDIAN, Slope, distance
 __all__ = ["CSNormData", "BoundarySlopeSet"]
 
 
+def is_norm_weight(weight) -> bool:
+    """Whether weight is a valid norm-term weight: a positive even int."""
+    return isinstance(weight, int) and not isinstance(weight, bool) and weight > 0 and weight % 2 == 0
+
+
 def _ccw_compare(v: tuple[int, int], w: tuple[int, int]) -> int:
     # counterclockwise from the positive x-axis; exact integer predicate
     def half(u: tuple[int, int]) -> int:
@@ -53,7 +58,7 @@ class CSNormData:
             slope, weight = entry
             if not isinstance(slope, Slope):
                 raise TypeError("norm term slope must be a Slope")
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight <= 0 or weight % 2:
+            if not is_norm_weight(weight):
                 raise ValueError("weight must be positive even")
             cleaned.append((slope, weight))
         cleaned.sort(key=lambda t: t[0].sort_key())

@@ -19,9 +19,7 @@ __all__ = [
     "Slope",
     "MERIDIAN",
     "LONGITUDE",
-    "normalize_slope",
     "distance",
-    "numeric_value",
     "enumerate_slopes",
 ]
 
@@ -87,24 +85,9 @@ MERIDIAN = Slope(1, 0)
 LONGITUDE = Slope(0, 1)
 
 
-def normalize_slope(p: int, q: int) -> Slope:
-    """Canonical representative of the class +/-(p*m + q*l).
-
-    The map from primitive classes to slopes is two-to-one; (p, q) and
-    (-p, -q) return the same Slope.  Raises ValueError for the zero vector
-    ("not a slope") and for non-primitive pairs ("not primitive").
-    """
-    return Slope(p, q)
-
-
 def distance(r: Slope, s: Slope) -> int:
     """Minimal geometric intersection number |p_r*q_s - q_r*p_s|."""
     return abs(r.p * s.q - r.q * s.p)
-
-
-def numeric_value(r: Slope) -> Fraction:
-    """Exact value p/q of a finite slope; errors on the meridian."""
-    return r.value()
 
 
 def enumerate_slopes(p_max: int, q_max: int, include_meridian: bool = True) -> Iterator[Slope]:

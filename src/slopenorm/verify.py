@@ -37,6 +37,11 @@ __all__ = [
     "corollary_euler",
     "family_ratio_unbounded",
     "standard_reports",
+    "thm1_slopes",
+    "extremal_pair",
+    "integral_extremal_pair",
+    "surface_pairs",
+    "cor_euler_applies",
 ]
 
 HOLDS = "holds"
@@ -50,6 +55,15 @@ def _fmt(x) -> str:
 
 def _dec(x) -> str:
     return f"{float(x):.12g}"
+
+
+def _classify(lhs, rhs) -> tuple[str, str]:
+    """Status and relation of an inequality lhs >= rhs, with equality noted."""
+    if lhs > rhs:
+        return HOLDS, ">"
+    if lhs == rhs:
+        return EQUALITY, "="
+    return FAILS, "<"
 
 
 @dataclass(frozen=True)
@@ -108,12 +122,7 @@ def verify_norm_ge_length(m: ManifoldData, r: Slope) -> VerifyReport:
     len2 = m.cusp.squared_length(r)
     lhs = Fraction(9 * n * n)
     rhs = 4 * len2
-    if lhs > rhs:
-        status, rel = HOLDS, ">"
-    elif lhs == rhs:
-        status, rel = EQUALITY, "="
-    else:
-        status, rel = FAILS, "<"
+    status, rel = _classify(lhs, rhs)
     return VerifyReport(
         stmt, status, _fmt(lhs), _fmt(rhs), rel,
         witnesses=(str(r),),
@@ -179,25 +188,29 @@ def prop6_condition(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
     stmt = f"prop6({s1.slope}, {s2.slope})"
     d = distance(s1.slope, s2.slope)
     rhs = -s1.b * s2.b * d
-    slacks = [2 * s1.euler - rhs, 2 * s2.euler - rhs]
-    if min(slacks) < 0:
-        status, rel = FAILS, "<"
-    elif min(slacks) == 0:
-        status, rel = EQUALITY, "="
-    else:
-        status, rel = HOLDS, ">"
+    lhs = min(2 * s1.euler, 2 * s2.euler)
+    status, rel = _classify(lhs, rhs)
     detail = f"2*euler values {2 * s1.euler}, {2 * s2.euler}"
     if s1.b == 1 and s2.b == 1:
         pair_ok = all(d + 2 * s.euler >= 0 for s in (s1, s2))
         detail += f"; spanning pair, distance bound for the pair hypothesis: {'yes' if pair_ok else 'no'}"
     return VerifyReport(
-        stmt, status, _fmt(min(2 * s1.euler, 2 * s2.euler)), _fmt(rhs), rel,
+        stmt, status, _fmt(lhs), _fmt(rhs), rel,
         witnesses=(str(s1.slope), str(s2.slope)),
         detail=detail,
     )
 
 
 # -- triangle-type bounds on numerical slopes ---------------------------------
+
+
+def _length_radicands(lattice: CuspLattice, r1: Slope, r2: Slope) -> tuple[Fraction, Fraction, Fraction]:
+    """len^2(r1)/q1^2, len^2(r2)/q2^2 and (r1 - r2)^2 for two finite slopes."""
+    if r1.is_meridian or r2.is_meridian:
+        raise ValueError("infinite slope")
+    a = lattice.squared_length(r1) / (r1.q * r1.q)
+    b = lattice.squared_length(r2) / (r2.q * r2.q)
+    return a, b, (r1.value() - r2.value()) ** 2
 
 
 def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyReport:
@@ -207,18 +220,13 @@ def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyRepo
     the lattice is flagged maximal, the weaker unit-meridian form with right
     side |r1 - r2| is reported as well.
     """
-    if r1.is_meridian or r2.is_meridian:
-        raise ValueError("infinite slope")
+    a, b, diff2 = _length_radicands(lattice, r1, r2)
     stmt = f"prop-length({r1}, {r2})"
-    v1, v2 = r1.value(), r2.value()
-    a = lattice.squared_length(r1) / (r1.q * r1.q)
-    b = lattice.squared_length(r2) / (r2.q * r2.q)
-    c = (v1 - v2) ** 2 * lattice.g_mm
-    sign = cmp_sqrt3(a, b, c)
-    status, rel = {1: (HOLDS, ">"), 0: (EQUALITY, "="), -1: (FAILS, "<")}[sign]
+    c = diff2 * lattice.g_mm
+    status, rel = _classify(cmp_sqrt3(a, b, c), 0)
     detail = f"decimals: {_dec(math.sqrt(a) + math.sqrt(b))} vs {_dec(math.sqrt(c))}"
     if lattice.maximal:
-        unit_sign = cmp_sqrt3(a, b, (v1 - v2) ** 2)
+        unit_sign = cmp_sqrt3(a, b, diff2)
         detail += f"; unit-meridian form (rhs |r1 - r2|): {'holds' if unit_sign > 0 else 'fails'}"
     return VerifyReport(
         stmt, status, f"sqrt({_fmt(a)}) + sqrt({_fmt(b)})", f"sqrt({_fmt(c)})", rel,
@@ -242,12 +250,7 @@ def verify_prop_norm(
     nm = norm.meridian_norm()
     lhs = Fraction(norm.evaluate(r1), r1.q * nm) + Fraction(norm.evaluate(r2), r2.q * nm)
     rhs = abs(r1.value() - r2.value())
-    if lhs > rhs:
-        status, rel = HOLDS, ">"
-    elif lhs == rhs:
-        status, rel = EQUALITY, "="
-    else:
-        status, rel = FAILS, "<"
+    status, rel = _classify(lhs, rhs)
     detail = ""
     finite = slopes.finite
     bracketing = bool(finite) and r1.value() >= finite[-1].value() and r2.value() <= finite[0].value()
@@ -287,10 +290,7 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
             stmt, NOT_APPLICABLE, witnesses=(str(finite[0]),),
             detail=f"{r2} is above the minimal boundary slope {finite[0]}",
         )
-    v1, v2 = r1.value(), r2.value()
-    a = m.cusp.squared_length(r1) / (r1.q * r1.q)
-    b = m.cusp.squared_length(r2) / (r2.q * r2.q)
-    c = (v1 - v2) ** 2
+    a, b, c = _length_radicands(m.cusp, r1, r2)
     sign = cmp_sqrt3(a, b, c)
     norm_report = verify_prop_norm(m.norm, r1, r2, m.boundary_slopes)
     norm_ok = norm_report.status == EQUALITY or (
@@ -309,7 +309,7 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
             f"(norm {n1} + norm {n2}) / norm(m) {nm} = {_fmt(Fraction(n1 + n2, nm))}"
         )
     return VerifyReport(
-        stmt, status, f"sqrt({_fmt(a)}) + sqrt({_fmt(b)})", _fmt(abs(v1 - v2)), ">",
+        stmt, status, f"sqrt({_fmt(a)}) + sqrt({_fmt(b)})", _fmt(abs(r1.value() - r2.value())), ">",
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -359,12 +359,7 @@ def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     )
     max_term = max(Fraction(m.norm.evaluate(s), nm * s.q) for s in finite)
     d = m.boundary_slopes.diam()
-    if bound > d and 2 * max_term >= d:
-        status, rel = HOLDS, ">"
-    elif bound == d and 2 * max_term >= d:
-        status, rel = EQUALITY, "="
-    else:
-        status, rel = FAILS, "<"
+    status, rel = _classify(bound, d) if 2 * max_term >= d else (FAILS, "<")
     return VerifyReport(
         stmt, status, _fmt(bound), _fmt(d), rel,
         witnesses=(str(s_top), str(s_bot)),
@@ -417,6 +412,43 @@ def family_ratio_unbounded(n_values) -> VerifyReport:
     )
 
 
+# -- default slope and pair choices ----------------------------------------------
+
+
+def thm1_slopes(m: ManifoldData) -> list[Slope]:
+    """The boundary slopes in order, then the meridian unless it is one."""
+    checked = list(m.boundary_slopes)
+    if MERIDIAN not in m.boundary_slopes:
+        checked.append(MERIDIAN)
+    return checked
+
+
+def extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
+    """The greatest and least finite boundary slopes."""
+    finite = slopes.finite
+    if len(finite) < 2:
+        raise ValueError("need two finite boundary slopes")
+    return finite[-1], finite[0]
+
+
+def integral_extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
+    """Integral slopes bracketing every boundary slope: the ceiling of the
+    greatest finite one and the floor of the least."""
+    finite = slopes.finite
+    return Slope(math.ceil(finite[-1].value()), 1), Slope(math.floor(finite[0].value()), 1)
+
+
+def surface_pairs(m: ManifoldData) -> list[tuple[SurfaceData, SurfaceData]]:
+    """Surface pairs with distinct slopes, in slope order within and across pairs."""
+    surfaces = sorted(m.surfaces, key=lambda s: s.slope.sort_key())
+    return [(s1, s2) for s1, s2 in itertools.combinations(surfaces, 2) if s1.slope != s2.slope]
+
+
+def cor_euler_applies(s1: SurfaceData, s2: SurfaceData) -> bool:
+    """Whether corollary_euler applies: finite slopes, negative Euler characteristics."""
+    return all(not s.slope.is_meridian and s.euler < 0 for s in (s1, s2))
+
+
 # -- orchestration --------------------------------------------------------------
 
 
@@ -426,47 +458,32 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
     finite = m.boundary_slopes.finite
 
     if m.cusp is not None and m.norm is not None:
-        checked = list(m.boundary_slopes)
-        if MERIDIAN not in m.boundary_slopes:
-            checked.append(MERIDIAN)
-        for r in checked:
-            reports.append(verify_norm_ge_length(m, r))
+        reports += [verify_norm_ge_length(m, r) for r in thm1_slopes(m)]
         if sweep_range:
             reports.append(sweep_norm_vs_length(m, sweep_range))
 
-    if m.cusp is not None and m.cusp.maximal and m.norm is not None and finite:
-        r1 = Slope(math.ceil(finite[-1].value()), 1)
-        r2 = Slope(math.floor(finite[0].value()), 1)
-        reports.append(verify_thm_length_norm(m, r1, r2))
+    if m.cusp is not None and m.cusp.maximal and m.norm is not None:
+        reports.append(verify_thm_length_norm(m, *integral_extremal_pair(m.boundary_slopes)))
 
     if len(finite) >= 2:
-        top, bot = finite[-1], finite[0]
+        top, bot = extremal_pair(m.boundary_slopes)
         if m.cusp is not None:
             reports.append(verify_prop_length(m.cusp, top, bot))
         if m.norm is not None:
             reports.append(verify_prop_norm(m.norm, top, bot, m.boundary_slopes))
-            for r in finite:
-                reports.append(verify_thm_diam(m, r))
+            reports += [verify_thm_diam(m, r) for r in finite]
             reports.append(verify_cor_ubdiam(m))
 
     if any(s.ideal_point and s.euler < 0 for s in m.surfaces):
         reports.append(prop4_hypothesis(m))
 
-    surfaces = sorted(m.surfaces, key=lambda s: s.slope.sort_key())
-    for s1, s2 in itertools.combinations(surfaces, 2):
-        if s1.slope == s2.slope:
-            continue
+    for s1, s2 in surface_pairs(m):
         reports.append(prop6_condition(s1, s2))
-        if (
-            not s1.slope.is_meridian
-            and not s2.slope.is_meridian
-            and s1.euler < 0
-            and s2.euler < 0
-        ):
+        if cor_euler_applies(s1, s2):
             reports.append(corollary_euler(s1.slope, s2.slope, s1, s2))
 
     if m.cusp is not None:
-        for s in surfaces:
+        for s in sorted(m.surfaces, key=lambda s: s.slope.sort_key()):
             if s.euler < 0:
                 ok = m.cusp.agol_check(s)
                 reports.append(

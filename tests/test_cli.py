@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slopenorm import fig8_dataset, from_document, load, pretzel_dataset, save
-from slopenorm.cli import run
+from slopenorm import fig8_dataset, from_document, load, pretzel_dataset, save, twobridge_dataset
+from slopenorm.cli import VERIFY_STATEMENTS, run
 
 
 @pytest.fixture()
@@ -162,3 +162,77 @@ def test_exit_code_on_failing_check(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["verify", "all", "-m", str(path)]) == 1
     assert "fails" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("statement", ["thm2", "prop-length", "prop-norm"])
+@pytest.mark.parametrize("slopes", [["5/1"], ["5/1", "-5/1", "0/1"]])
+def test_pair_statements_need_two_slopes(fig8_path, capsys, statement, slopes):
+    argv = ["verify", statement, "-m", fig8_path]
+    for s in slopes:
+        argv += ["-r", s]
+    assert run(argv) == 2
+    assert "expected 2 slope argument(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("statement", ["prop4", "prop6", "cor-ubdiam", "cor-euler", "all"])
+def test_slopes_rejected_where_unread(pretzel_path, capsys, statement):
+    assert run(["verify", statement, "-m", pretzel_path, "-r", "16/1"]) == 2
+    assert "takes no -r/--slope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "thm1"], ["verify", "all"], ["report"]])
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_range_must_be_positive(fig8_path, capsys, command, value):
+    assert run([*command, "-m", fig8_path, "--range", value]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("statement", ["thm2", "thm3", "prop-norm", "prop6"])
+def test_range_rejected_where_unread(fig8_path, capsys, statement):
+    assert run(["verify", statement, "-m", fig8_path, "--range", "5"]) == 2
+    assert "--range applies only to thm1 and all" in capsys.readouterr().err
+
+
+def test_range_rejected_with_slopes(fig8_path, capsys):
+    assert run(["verify", "thm1", "-m", fig8_path, "--range", "5", "-r", "4/1"]) == 2
+    assert "without -r/--slope" in capsys.readouterr().err
+
+
+# surfaces listed against slope order, so pairs taken in file order would differ
+OUT_OF_ORDER_DOC = {
+    "name": "out-of-order",
+    "cusp": {"g_mm": "1", "g_ml": "0", "g_ll": "400", "maximal": True},
+    "culler_shalen": {"terms": [{"slope": "20/1", "weight": 2}, {"slope": "16/1", "weight": 2}]},
+    "boundary_slopes": ["20/1", "16/1", "1/0"],
+    "surfaces": [
+        {"slope": "20/1", "euler": -1, "boundary_components": 1, "ideal_point": True},
+        {"slope": "16/1", "euler": -3, "boundary_components": 1, "ideal_point": True},
+        {"slope": "1/0", "euler": -2, "boundary_components": 2},
+    ],
+}
+
+
+def _json_reports(capsys, argv):
+    assert run([*argv, "--format", "json"]) in (0, 1)
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        fig8_dataset(),
+        pretzel_dataset(7),
+        pretzel_dataset(9),
+        twobridge_dataset(6),
+        from_document(OUT_OF_ORDER_DOC),
+    ],
+    ids=lambda m: m.name,
+)
+def test_verify_statement_matches_verify_all(tmp_path, capsys, document):
+    path = tmp_path / "m.json"
+    save(document, path)
+    everything = _json_reports(capsys, ["verify", "all", "-m", str(path)])
+    for statement in VERIFY_STATEMENTS[:-1]:
+        expected = [r for r in everything if r["statement"].split("(")[0] == statement]
+        if expected:
+            assert _json_reports(capsys, ["verify", statement, "-m", str(path)]) == expected, statement

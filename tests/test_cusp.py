@@ -10,7 +10,6 @@ from slopenorm import (
     MERIDIAN,
     CuspLattice,
     Slope,
-    SqrtSum,
     cmp_sqrt3,
     fig8_dataset,
 )
@@ -171,12 +170,10 @@ def test_cmp_sqrt3_against_float128():
 
 
 def test_sqrt_sum():
-    s = SqrtSum(28, 28, 64)
-    assert s.sign() == 1
-    assert float(s) == pytest.approx(2 * math.sqrt(28) - 8)
-    assert str(s) == "sqrt(28) + sqrt(28) - sqrt(64)"
+    # sqrt(28) + sqrt(28) - sqrt(64), the figure-eight's prop-length margin
+    assert cmp_sqrt3(28, 28, 64) == 1
     with pytest.raises(ValueError, match="negative input"):
-        SqrtSum(-1, 0, 0)
+        cmp_sqrt3(-1, 0, 0)
 
 
 def test_agol_check():

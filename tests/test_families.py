@@ -99,6 +99,8 @@ def test_family_spec_validation():
         FamilySpec("pretzel_2_3_n", {"n": 6})
     with pytest.raises(ValueError, match="sum to 2 - crossings"):
         FamilySpec("two_bridge_abstract", {"crossings": 5, "chi1": -1, "chi2": -1})
+    with pytest.raises(ValueError, match="negative"):
+        FamilySpec("two_bridge_abstract", {"crossings": 3})  # no all-negative split exists
 
 
 def test_family_spec_build():

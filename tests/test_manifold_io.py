@@ -185,3 +185,56 @@ def test_to_document_shape():
     assert doc["cusp"]["g_ll"] == "12"
     assert doc["boundary_slopes"] == ["-4/1", "4/1"]
     assert doc["culler_shalen"]["terms"][0] == {"slope": "-4/1", "weight": 2}
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("surface", "strict", "false"),
+        ("surface", "ideal_point", 1),
+        ("cusp", "maximal", "true"),
+    ],
+)
+def test_flags_must_be_booleans(section, key, value):
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["surfaces"] = [{"slope": "4/1", "euler": -1, "boundary_components": 1}]
+    target = doc["surfaces"][0] if section == "surface" else doc["cusp"]
+    target[key] = value
+    owner = "surface 0" if section == "surface" else "cusp"
+    with pytest.raises(ManifoldFormatError, match=f"{owner} {key} flag must be a boolean"):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("certificate", [0, -12])
+def test_certificate_must_be_positive(certificate):
+    doc = to_document(pretzel_dataset(7))
+    doc["meridian_norm_certificate"] = certificate
+    with pytest.raises(ManifoldFormatError, match="meridian_norm_certificate must be positive"):
+        from_document(doc)
+
+
+def test_certificate_must_match_norm():
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["meridian_norm_certificate"] = 4
+    assert from_document(doc).meridian_norm_certificate == 4
+    doc["meridian_norm_certificate"] = 6
+    with pytest.raises(ManifoldFormatError, match=r"certificate 6 differs from norm\(m\) = 4"):
+        from_document(doc)
+    with pytest.raises(ValueError, match="differs from norm"):
+        ManifoldData(
+            name="x",
+            boundary_slopes=BoundarySlopeSet((Slope(4, 1), Slope(-4, 1))),
+            norm=CSNormData(((Slope(4, 1), 2), (Slope(-4, 1), 2))),
+            meridian_norm_certificate=6,
+        )
+
+
+def test_duplicate_keys_rejected(tmp_path):
+    path = tmp_path / "dup.json"
+    text = json.dumps(FIG8_DOC)
+    text = text.replace('"name": "figure-eight"', '"name": "a", "name": "figure-eight"')
+    text = text.replace('"g_ll": "12"', '"g_ll": "12", "g_ll": "1"')
+    path.write_text(text)
+    with pytest.raises(ManifoldFormatError) as err:
+        load(path)
+    assert sorted(err.value.problems) == ["duplicate key 'g_ll'", "duplicate key 'name'"]

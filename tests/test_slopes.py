@@ -9,29 +9,27 @@ from slopenorm import (
     Slope,
     distance,
     enumerate_slopes,
-    normalize_slope,
-    numeric_value,
 )
 from randgen import random_slope, random_slope_pair
 
 
 def test_normalize_sign():
-    assert normalize_slope(-3, -5) == Slope(3, 5)
-    assert normalize_slope(3, -5) == Slope(-3, 5)
-    assert normalize_slope(1, 0) == MERIDIAN
-    assert normalize_slope(-1, 0) == MERIDIAN
+    assert Slope(-3, -5) == Slope(3, 5)
+    assert Slope(3, -5) == Slope(-3, 5)
+    assert Slope(1, 0) == MERIDIAN
+    assert Slope(-1, 0) == MERIDIAN
 
 
 def test_normalize_rejects_non_primitive():
     with pytest.raises(ValueError, match="not primitive"):
-        normalize_slope(2, 4)
+        Slope(2, 4)
     with pytest.raises(ValueError, match="not primitive"):
         Slope(2, 0)
 
 
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError, match="not a slope"):
-        normalize_slope(0, 0)
+        Slope(0, 0)
 
 
 def test_two_to_one_identification():
@@ -39,7 +37,7 @@ def test_two_to_one_identification():
     for _ in range(200):
         r = random_slope(rng)
         assert Slope(-r.p, -r.q) == r
-        assert normalize_slope(r.p, r.q) == r  # idempotent
+        assert Slope(r.p, r.q) == r  # idempotent
 
 
 def test_distance_examples():
@@ -67,10 +65,10 @@ def test_distance_difference_identity():
 
 
 def test_numeric_value():
-    assert numeric_value(Slope(4, 1)) == 4
-    assert numeric_value(Slope(-5, 2)) == Fraction(-5, 2)
+    assert Slope(4, 1).value() == 4
+    assert Slope(-5, 2).value() == Fraction(-5, 2)
     with pytest.raises(ValueError, match="infinite slope"):
-        numeric_value(MERIDIAN)
+        MERIDIAN.value()
 
 
 def test_parse_and_str():
