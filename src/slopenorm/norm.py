@@ -90,6 +90,25 @@ class CSNormData:
         """Norm of the meridian: the weighted sum of term denominators."""
         return self.evaluate(MERIDIAN)
 
+    def linear_pieces(self) -> list[tuple[Slope | None, Slope | None, int, int]]:
+        """The norm as integer linear forms between consecutive finite term
+        slopes: (lower, upper, A, B) with norm(p/q) = A*p + B*q whenever
+        q > 0 and lower <= p/q <= upper, in increasing order; None leaves a
+        side unbounded.
+        """
+        finite = [(s, w) for s, w in self.terms if not s.is_meridian]
+        # below every finite term slope each distance is q*t - p*u (or q for
+        # the meridian); passing the term t/u of weight w adds 2*w*(p*u - q*t)
+        a = -sum(w * s.q for s, w in finite)
+        b = sum(w * s.p for s, w in finite) + sum(w for s, w in self.terms if s.is_meridian)
+        pieces = []
+        lower = None
+        for upper, w in finite:
+            pieces.append((lower, upper, a, b))
+            a, b, lower = a + 2 * w * upper.q, b - 2 * w * upper.p, upper
+        pieces.append((lower, None, a, b))
+        return pieces
+
     def unit_ball_vertices(self) -> list[tuple[Fraction, Fraction]]:
         """Vertices of {v : norm(v) <= 1}, counterclockwise.
 
@@ -158,12 +177,6 @@ class BoundarySlopeSet:
     def finite(self) -> tuple[Slope, ...]:
         """Non-meridional members, in increasing numerical order."""
         return tuple(s for s in self.slopes if not s.is_meridian)
-
-    def max_finite(self) -> Slope:
-        return self.finite[-1]
-
-    def min_finite(self) -> Slope:
-        return self.finite[0]
 
     def diam(self) -> Fraction:
         """Greatest minus least numerical value; the meridian is ignored."""

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .counting import count_negative
 from .cusp import CuspLattice, cmp_sqrt3
 from .manifold import ManifoldData, SurfaceData
 from .norm import BoundarySlopeSet, CSNormData
-from .slopes import MERIDIAN, Slope, distance, enumerate_slopes
+from .slopes import MERIDIAN, Slope, distance
 
 __all__ = [
     "HOLDS",
@@ -132,22 +133,37 @@ def verify_norm_ge_length(m: ManifoldData, r: Slope) -> VerifyReport:
 
 def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
     """Run the thm1 comparison over every slope with |p|, q <= limit
-    (meridian included) and aggregate the outcome."""
+    (meridian included) and aggregate the outcome.
+
+    The slopes are counted, not visited.  With the Gram matrix scaled by the
+    lcm L of its denominators, thm1 fails at p/q exactly where
+    F = 9*L*norm^2 - 4*L*len^2 is negative.  Between consecutive finite term
+    slopes the norm is a linear form A*p + B*q, so there F is an integer
+    quadratic form, and `count_negative` counts its negative slopes row by
+    row.  The witness is the first failure in sweep order: the meridian,
+    then increasing q, then increasing p.
+    """
     stmt = f"thm1[range {limit}]"
     if m.cusp is None or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
-    total = passed = 0
-    first_bad: Slope | None = None
-    for r in enumerate_slopes(limit, limit):
-        total += 1
-        n = m.norm.evaluate(r)
-        if 9 * n * n >= 4 * m.cusp.squared_length(r):
-            passed += 1
-        elif first_bad is None:
-            first_bad = r
-    status = HOLDS if passed == total else FAILS
-    witnesses = (str(first_bad),) if first_bad is not None else ()
-    return VerifyReport(stmt, status, f"{passed}/{total} slopes", witnesses=witnesses)
+    gram = (m.cusp.g_mm, m.cusp.g_ml, m.cusp.g_ll)
+    scale = math.lcm(*(g.denominator for g in gram))
+    a, b, c = (int(g * scale) for g in gram)
+    nine_l = 9 * scale
+    pieces = []  # those where F = alpha*p^2 + 2*beta*p*q + gamma*q^2 can be negative
+    for lower, upper, big_a, big_b in m.norm.linear_pieces():
+        alpha = nine_l * big_a * big_a - 4 * a
+        beta = nine_l * big_a * big_b - 4 * b
+        gamma = nine_l * big_b * big_b - 4 * c
+        if alpha < 0 or gamma < 0 or beta * beta > alpha * gamma:
+            pieces.append((lower, upper, alpha, beta, gamma))
+    failed, total, first = count_negative(pieces, limit)
+    witness = Slope(*first) if first else None
+    if nine_l * m.norm.meridian_norm() ** 2 < 4 * a:
+        failed, witness = failed + 1, MERIDIAN
+    status = HOLDS if failed == 0 else FAILS
+    witnesses = (str(witness),) if witness else ()
+    return VerifyReport(stmt, status, f"{total + 1 - failed}/{total + 1} slopes", witnesses=witnesses)
 
 
 # -- surface-pair hypotheses ---------------------------------------------------
@@ -278,8 +294,6 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
     if m.cusp is None or not m.cusp.maximal or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs a maximal cusp shape and norm data")
     finite = m.boundary_slopes.finite
-    if not finite:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="no finite boundary slopes")
     if r1.value() < finite[-1].value():
         return VerifyReport(
             stmt, NOT_APPLICABLE, witnesses=(str(finite[-1]),),
@@ -352,12 +366,11 @@ def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     if m.norm is None or len(m.boundary_slopes.finite) < 2:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs norm data and two finite boundary slopes")
     nm = m.norm.meridian_norm()
-    finite = m.boundary_slopes.finite
-    s_top, s_bot = finite[-1], finite[0]
+    s_top, s_bot = extremal_pair(m.boundary_slopes)
     bound = Fraction(m.norm.evaluate(s_top), nm * s_top.q) + Fraction(
         m.norm.evaluate(s_bot), nm * s_bot.q
     )
-    max_term = max(Fraction(m.norm.evaluate(s), nm * s.q) for s in finite)
+    max_term = max(Fraction(m.norm.evaluate(s), nm * s.q) for s in m.boundary_slopes.finite)
     d = m.boundary_slopes.diam()
     status, rel = _classify(bound, d) if 2 * max_term >= d else (FAILS, "<")
     return VerifyReport(

@@ -1,0 +1,42 @@
+import math
+import random
+
+from slopenorm import Slope
+from slopenorm.counting import _count_coprime, _negative_runs, count_negative
+
+
+def test_negative_runs_match_scan():
+    rng = random.Random(47)
+    for _ in range(3000):
+        alpha = rng.choice((0, rng.randint(-30, 30)))
+        beta = rng.randint(-60, 60)
+        gamma = rng.randint(-400, 400)
+        lo = rng.randint(-40, 10)
+        hi = lo + rng.randint(-2, 60)
+        negative = [p for p in range(lo, hi + 1) if alpha * p * p + 2 * beta * p + gamma < 0]
+        covered = [p for x, y in _negative_runs(alpha, beta, gamma, lo, hi) for p in range(x, y + 1)]
+        assert covered == negative, (alpha, beta, gamma, lo, hi)
+
+
+def test_count_coprime_matches_gcd():
+    # divisors of 60 that are squarefree, with their Moebius values
+    divisors = [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1), (15, 1), (30, -1)]
+    for x, y in ((-60, 60), (-7, -1), (0, 0), (1, 59), (13, 12)):
+        assert _count_coprime(divisors, x, y) == sum(math.gcd(p, 60) == 1 for p in range(x, y + 1))
+
+
+def test_count_negative_pieces():
+    # the form is p^2 - 4q^2 below the slope 1/1 and -2pq + 2q^2 from it on
+    pieces = [(None, Slope(1, 1), 1, 0, -4), (Slope(1, 1), None, 0, -1, 2)]
+    limit = 12
+    want = []
+    for q in range(1, limit + 1):
+        for p in range(-limit, limit + 1):
+            if math.gcd(p, q) == 1:
+                value = p * p - 4 * q * q if p < q else -2 * p * q + 2 * q * q
+                want.append(((p, q), value < 0))
+    negative, total, first = count_negative(pieces, limit)
+    assert total == len(want)
+    assert negative == sum(bad for _, bad in want)
+    assert first == next(s for s, bad in want if bad)
+    assert count_negative(pieces, 0) == (0, 0, None)

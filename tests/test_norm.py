@@ -9,6 +9,7 @@ from slopenorm import (
     BoundarySlopeSet,
     CSNormData,
     Slope,
+    extremal_pair,
 )
 from randgen import random_norm_data, random_slope
 
@@ -130,6 +131,24 @@ def test_min_norm_matches_brute_force():
         assert norm.min_norm_nontrivial() == brute_force_min_norm(norm)
 
 
+def test_linear_pieces_agree_with_evaluate():
+    rng = random.Random(48)
+    for i in range(100):
+        norm = random_norm_data(rng)
+        if i % 4 == 0:
+            norm = CSNormData(norm.terms + ((MERIDIAN, 2),))
+        pieces = norm.linear_pieces()
+        finite = tuple(s for s in norm.support if not s.is_meridian)
+        assert [(lo, hi) for lo, hi, _, _ in pieces] == list(zip((None,) + finite, finite + (None,)))
+        for _ in range(20):
+            r = random_slope(rng, 60, 8, finite=True)
+            matching = [
+                (a, b) for lo, hi, a, b in pieces
+                if (lo is None or lo.value() <= r.value()) and (hi is None or r.value() <= hi.value())
+            ]
+            assert matching and all(a * r.p + b * r.q == norm.evaluate(r) for a, b in matching)
+
+
 def test_boundary_slope_set_validation():
     with pytest.raises(ValueError, match="duplicate boundary slope"):
         BoundarySlopeSet((Slope(4, 1), Slope(-4, -1)))
@@ -151,8 +170,7 @@ def test_diam():
 def test_boundary_slope_set_order_and_lookup():
     bset = BoundarySlopeSet((Slope(4, 1), MERIDIAN, Slope(-4, 1)))
     assert bset.finite == (Slope(-4, 1), Slope(4, 1))
-    assert bset.max_finite() == Slope(4, 1)
-    assert bset.min_finite() == Slope(-4, 1)
+    assert extremal_pair(bset) == (Slope(4, 1), Slope(-4, 1))
     assert MERIDIAN in bset
     assert Slope(1, 2) not in bset
     assert len(bset) == 3

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,12 +17,14 @@ from slopenorm import (
     Slope,
     SurfaceData,
     corollary_euler,
+    enumerate_slopes,
     family_ratio_unbounded,
     fig8_dataset,
     pretzel_dataset,
     prop4_hypothesis,
     prop6_condition,
     standard_reports,
+    sweep_norm_vs_length,
     verify_cor_ubdiam,
     verify_norm_ge_length,
     verify_prop_length,
@@ -47,6 +51,139 @@ def test_thm1_fig8_slopes():
 def test_thm1_needs_data():
     rep = verify_norm_ge_length(pretzel_dataset(7), Slope(16, 1))
     assert rep.status == NOT_APPLICABLE
+    assert sweep_norm_vs_length(pretzel_dataset(7), 5).status == NOT_APPLICABLE
+
+
+# -- thm1 sweeps ----------------------------------------------------------------
+
+def brute_force_sweep(m, limit):
+    """Status, count text and witnesses of thm1 over every slope with
+    |p|, q <= limit, one slope at a time in sweep order."""
+    total = passed = 0
+    first_bad = None
+    for r in enumerate_slopes(limit, limit):
+        total += 1
+        n = m.norm.evaluate(r)
+        if 9 * n * n >= 4 * m.cusp.squared_length(r):
+            passed += 1
+        elif first_bad is None:
+            first_bad = r
+    status = HOLDS if passed == total else FAILS
+    witnesses = (str(first_bad),) if first_bad is not None else ()
+    return status, f"{passed}/{total} slopes", witnesses
+
+
+def sweep_fields(m, limit):
+    rep = sweep_norm_vs_length(m, limit)
+    return rep.status, rep.lhs, rep.witnesses
+
+
+def thm1_manifold(lattice, norm):
+    return ManifoldData(
+        name="thm1", boundary_slopes=BoundarySlopeSet(norm.support), cusp=lattice, norm=norm
+    )
+
+
+def stretched(lattice, norm, box=3):
+    """The lattice scaled until thm1 fails on a slope with |p|, q <= box."""
+    ratio = min(
+        Fraction(9 * norm.evaluate(r) ** 2, 4) / lattice.squared_length(r)
+        for r in enumerate_slopes(box, box)
+    )
+    k = math.floor(ratio) + 1
+    return CuspLattice(k * lattice.g_mm, k * lattice.g_ml, k * lattice.g_ll)
+
+
+def test_sweep_matches_brute_force():
+    rng = random.Random(46)
+    failing = 0
+    for i in range(150):
+        norm = random_norm_data(rng)
+        if i % 5 == 0:
+            norm = CSNormData(norm.terms + ((MERIDIAN, 2),))
+        lattice = random_lattice(rng)
+        if i % 3 == 0:
+            lattice = stretched(lattice, norm)
+        m = thm1_manifold(lattice, norm)
+        limit = 1 + i % 30
+        got = sweep_fields(m, limit)
+        assert got == brute_force_sweep(m, limit), (lattice, norm.terms, limit)
+        failing += got[0] == FAILS
+    assert failing >= 40
+
+
+def test_sweep_range_one():
+    assert sweep_fields(FIG8, 1) == (HOLDS, "4/4 slopes", ())
+    assert sweep_fields(FIG8, 1) == brute_force_sweep(FIG8, 1)
+
+
+UNIT_TERMS = CSNormData(((Slope(1, 1), 2), (Slope(-1, 1), 2)))
+
+
+def test_sweep_meridian_fails_first():
+    m = thm1_manifold(CuspLattice(100, 0, 1), UNIT_TERMS)
+    assert sweep_fields(m, 3) == (FAILS, "5/16 slopes", ("1/0",))
+    assert sweep_fields(m, 3) == brute_force_sweep(m, 3)
+
+
+def test_sweep_equality_passes():
+    m = thm1_manifold(CuspLattice(1, 0, 36), UNIT_TERMS)
+    assert verify_norm_ge_length(m, Slope(0, 1)).status == EQUALITY
+    assert sweep_fields(m, 3) == (FAILS, "8/16 slopes", ("-1/1",))
+    assert sweep_fields(m, 3) == brute_force_sweep(m, 3)
+
+
+def test_sweep_linear_pieces_of_the_form():
+    # with g_mm = 36 the outer pieces of UNIT_TERMS have no p^2 term in F
+    for lattice in (CuspLattice(36, 0, 1), CuspLattice(36, 1, 1), CuspLattice(36, -Fraction(1, 2), 3)):
+        m = thm1_manifold(lattice, UNIT_TERMS)
+        for limit in (3, 10):
+            assert sweep_fields(m, limit) == brute_force_sweep(m, limit)
+
+
+def test_sweep_term_slope_on_piece_boundary():
+    # the figure-eight's ratio is least on its term slopes +-4/1; scaling its
+    # Gram matrix by 144/7 puts them at equality, by 145/7 just past it
+    for limit in (4, 5, 9, 16):
+        assert sweep_fields(FIG8, limit) == brute_force_sweep(FIG8, limit)
+    tight = thm1_manifold(CuspLattice(Fraction(144, 7), 0, Fraction(1728, 7)), FIG8.norm)
+    assert verify_norm_ge_length(tight, Slope(4, 1)).status == EQUALITY
+    assert sweep_fields(tight, 9) == (HOLDS, "112/112 slopes", ())
+    past = thm1_manifold(CuspLattice(Fraction(145, 7), 0, Fraction(1740, 7)), FIG8.norm)
+    assert sweep_fields(past, 9) == (FAILS, "110/112 slopes", ("-4/1",))
+    for m in (tight, past):
+        for limit in (4, 9, 25):
+            assert sweep_fields(m, limit) == brute_force_sweep(m, limit)
+
+
+def test_sweep_rational_gram():
+    lattice = CuspLattice(Fraction(7, 3), Fraction(-5, 4), Fraction(11, 6))
+    norm = CSNormData(((Slope(-3, 2), 2), (Slope(1, 5), 4), (MERIDIAN, 2)))
+    for m in (thm1_manifold(lattice, norm), thm1_manifold(stretched(lattice, norm), norm)):
+        for limit in (1, 7, 20):
+            assert sweep_fields(m, limit) == brute_force_sweep(m, limit)
+
+
+def test_sweep_counts_without_visiting(monkeypatch):
+    calls = {"squared_length": 0, "evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(CuspLattice, "squared_length", counted("squared_length", CuspLattice.squared_length))
+    monkeypatch.setattr(CSNormData, "evaluate", counted("evaluate", CSNormData.evaluate))
+    limit = 2000
+    phi = list(range(limit + 1))
+    for k in range(2, limit + 1):
+        if phi[k] == k:
+            for j in range(k, limit + 1, k):
+                phi[j] -= phi[j] // k
+    total = 2 + 2 * limit + 2 * (2 * sum(phi[1:]) - 1 - limit)
+    assert sweep_fields(FIG8, limit) == (HOLDS, f"{total}/{total} slopes", ())
+    assert calls["squared_length"] <= 2 and calls["evaluate"] <= 2
 
 
 # -- prop4 ---------------------------------------------------------------------
