@@ -7,7 +7,6 @@ or in display strings.
 
 from .cusp import CuspLattice, cmp_sqrt3
 from .families import (
-    FamilySpec,
     fig8_dataset,
     pretzel_dataset,
     twobridge_dataset,
@@ -96,7 +95,6 @@ __all__ = [
     "integral_extremal_pair",
     "surface_pairs",
     "cor_euler_applies",
-    "FamilySpec",
     "fig8_dataset",
     "pretzel_dataset",
     "twobridge_pair",

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 
-from .families import fig8_dataset, FamilySpec
+from .families import fig8_dataset, pretzel_dataset, twobridge_dataset
 from .manifold import ManifoldData, ManifoldFormatError, load, save, to_document
 from .slopes import Slope, distance
 from .verify import (
@@ -237,11 +237,11 @@ def _cmd_family(args) -> int:
     elif args.which == "pretzel":
         if args.n is None:
             raise _UsageError("pretzel needs --n K")
-        m = FamilySpec("pretzel_2_3_n", {"n": args.n}).build()
+        m = pretzel_dataset(args.n)
     else:
         if args.crossings is None:
             raise _UsageError("twobridge needs --crossings C")
-        m = FamilySpec("two_bridge_abstract", {"crossings": args.crossings}).build()
+        m = twobridge_dataset(args.crossings)
     if args.out:
         save(m, args.out)
     else:

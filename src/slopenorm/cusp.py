@@ -2,9 +2,11 @@
 
 The horotorus is a flat torus; its translation lattice in the
 (meridian, longitude) basis is recorded by the Gram entries
-g_mm = <m, m>, g_ml = <m, l>, g_ll = <l, l>.  Lengths are kept as exact
-squared rationals and angles as sin^2 values, so every comparison is
-decided in integer arithmetic.  Square roots are taken only for display.
+g_mm = <m, m>, g_ml = <m, l>, g_ll = <l, l>.  Each lattice scales its Gram
+matrix once by the lcm L of the three denominators, so squared lengths,
+inner products and the Lagrange-Gauss reduction run on integers; the
+public values are still exact Fractions (the integer over L).  Angles are
+sin^2 values.  Square roots are taken only for display.
 """
 
 from __future__ import annotations
@@ -18,11 +20,6 @@ from .slopes import Slope, distance
 __all__ = ["CuspLattice", "cmp_sqrt3"]
 
 RationalLike = Fraction | int | str
-
-
-def _nearest_int(x: Fraction) -> int:
-    # nearest integer, ties rounded up; exact on Fractions
-    return math.floor(x + Fraction(1, 2))
 
 
 def cmp_sqrt3(a: RationalLike, b: RationalLike, c: RationalLike) -> int:
@@ -64,8 +61,13 @@ class CuspLattice:
     def __post_init__(self) -> None:
         for name in ("g_mm", "g_ml", "g_ll"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.g_mm <= 0 or self.g_ll <= 0 or self.area_squared() <= 0:
+        gram = (self.g_mm, self.g_ml, self.g_ll)
+        scale = math.lcm(*(g.denominator for g in gram))
+        a, b, c = (g.numerator * (scale // g.denominator) for g in gram)
+        if a <= 0 or c <= 0 or a * c <= b * b:
             raise ValueError("Gram matrix is not positive definite")
+        # (L, L*g_mm, L*g_ml, L*g_ll); not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_scaled", (scale, a, b, c))
         if self.maximal:
             systole, _ = self.systole_squared()
             if systole < 1:
@@ -73,19 +75,17 @@ class CuspLattice:
 
     # -- quadratic form ----------------------------------------------------
 
-    def _qval(self, p: int, q: int) -> Fraction:
-        return p * p * self.g_mm + 2 * p * q * self.g_ml + q * q * self.g_ll
+    def _qval(self, p: int, q: int) -> int:
+        _, a, b, c = self._scaled
+        return (a * p + 2 * b * q) * p + c * q * q
 
-    def _inner(self, u: tuple[int, int], v: tuple[int, int]) -> Fraction:
-        return (
-            u[0] * v[0] * self.g_mm
-            + (u[0] * v[1] + u[1] * v[0]) * self.g_ml
-            + u[1] * v[1] * self.g_ll
-        )
+    def _inner(self, u: tuple[int, int], v: tuple[int, int]) -> int:
+        _, a, b, c = self._scaled
+        return a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
 
     def squared_length(self, r: Slope) -> Fraction:
         """Squared Euclidean length of the geodesic representative of r."""
-        return self._qval(r.p, r.q)
+        return Fraction(self._qval(r.p, r.q), self._scaled[0])
 
     def area_squared(self) -> Fraction:
         """Squared area of the torus: the Gram determinant."""
@@ -102,7 +102,7 @@ class CuspLattice:
         lr = self._qval(r.p, r.q)
         ls = self._qval(s.p, s.q)
         dot = self._inner((r.p, r.q), (s.p, s.q))
-        return (lr * ls - dot * dot) / (lr * ls)
+        return Fraction(lr * ls - dot * dot, lr * ls)
 
     def lemma1_identity(self, r: Slope, s: Slope) -> bool:
         """Check distance^2 * area^2 == len^2(r) * len^2(s) * sin^2(angle).
@@ -113,7 +113,7 @@ class CuspLattice:
         """
         d = distance(r, s)
         lhs = Fraction(d * d) * self.area_squared()
-        rhs = self._qval(r.p, r.q) * self._qval(s.p, s.q) * self.sin_sq_angle(r, s)
+        rhs = self.squared_length(r) * self.squared_length(s) * self.sin_sq_angle(r, s)
         return lhs == rhs
 
     # -- shortest vector ---------------------------------------------------
@@ -130,9 +130,10 @@ class CuspLattice:
         if self._qval(*u) > self._qval(*v):
             u, v = v, u
         while True:
-            t = _nearest_int(self._inner(u, v) / self._qval(*u))
+            qu = self._qval(*u)
+            t = (2 * self._inner(u, v) + qu) // (2 * qu)  # nearest to inner/qu, ties up
             v = (v[0] - t * u[0], v[1] - t * u[1])
-            if self._qval(*v) >= self._qval(*u):
+            if self._qval(*v) >= qu:
                 break
             u, v = v, u
         best = self._qval(*u)
@@ -142,7 +143,7 @@ class CuspLattice:
         def tie_key(s: Slope) -> tuple:
             return (0 if s.is_meridian else 1, s.q, abs(s.p), 0 if s.p >= 0 else 1)
 
-        return best, min(slopes, key=tie_key)
+        return Fraction(best, self._scaled[0]), min(slopes, key=tie_key)
 
     # -- consistency checks -------------------------------------------------
 
@@ -154,5 +155,5 @@ class CuspLattice:
         """
         if surface.euler >= 0:
             raise ValueError("non-negative Euler characteristic")
-        lhs = self.squared_length(surface.slope) * surface.b * surface.b
-        return lhs <= 36 * surface.euler * surface.euler
+        lhs = self._qval(surface.slope.p, surface.slope.q) * surface.b * surface.b
+        return lhs <= 36 * surface.euler * surface.euler * self._scaled[0]

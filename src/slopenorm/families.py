@@ -10,9 +10,7 @@ through the crossing-number identities of their checkerboard surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 from .cusp import CuspLattice
 from .manifold import ManifoldData, SurfaceData
@@ -21,15 +19,11 @@ from .slopes import Slope
 from .verify import HOLDS, FAILS, VerifyReport
 
 __all__ = [
-    "FamilySpec",
     "fig8_dataset",
     "pretzel_dataset",
     "twobridge_pair",
     "twobridge_dataset",
 ]
-
-FAMILY_IDS = ("figure_eight", "pretzel_2_3_n", "two_bridge_abstract")
-
 
 def fig8_dataset() -> ManifoldData:
     """The figure-eight knot exterior with its maximal cusp shape.
@@ -136,44 +130,3 @@ def twobridge_dataset(crossings: int, chi1: int | None = None) -> ManifoldData:
         boundary_slopes=BoundarySlopeSet((s1, s2)),
         surfaces=surfaces,
     )
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Family identifier plus its integer parameters.
-
-    Families: "figure_eight" (no parameters), "pretzel_2_3_n" (n odd >= 7),
-    "two_bridge_abstract" (crossings >= 3, optional chi1/chi2 split summing
-    to 2 - crossings with both negative).
-    """
-
-    family: str
-    params: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
-        if self.family not in FAMILY_IDS:
-            raise ValueError(f"unknown family: {self.family!r}")
-        if self.family == "pretzel_2_3_n":
-            _check_pretzel_n(self.params.get("n"))
-        if self.family == "two_bridge_abstract":
-            if ("chi1" in self.params) != ("chi2" in self.params):
-                raise ValueError("give both chi1 and chi2 or neither")
-            self._split()
-
-    def _split(self) -> tuple[int, int]:
-        params = self.params
-        return _twobridge_split(params.get("crossings"), params.get("chi1"), params.get("chi2"))
-
-    def build(self) -> ManifoldData:
-        if self.family == "figure_eight":
-            return fig8_dataset()
-        if self.family == "pretzel_2_3_n":
-            return pretzel_dataset(self.params["n"])
-        return twobridge_dataset(self.params["crossings"], self.params.get("chi1"))
-
-    def hypothesis_report(self) -> VerifyReport:
-        """Distance-bound report for the abstract two-bridge pair."""
-        if self.family != "two_bridge_abstract":
-            raise ValueError("hypothesis report only applies to the two-bridge family")
-        return twobridge_pair(self.params["crossings"], *self._split())

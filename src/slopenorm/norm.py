@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterator
 
-from .slopes import MERIDIAN, Slope, distance
+from .slopes import MERIDIAN, Slope
 
 __all__ = ["CSNormData", "BoundarySlopeSet"]
 
@@ -79,7 +79,11 @@ class CSNormData:
 
     def evaluate(self, r: Slope) -> int:
         """Norm of the slope r: the weighted sum of distances to the terms."""
-        return sum(a * distance(r, s) for s, a in self.terms)
+        return self._direction_norm(r.p, r.q)
+
+    def _direction_norm(self, t: int, u: int) -> int:
+        # norm of the integer class t*m + u*l
+        return sum(a * abs(t * s.q - u * s.p) for s, a in self.terms)
 
     def evaluate_real(self, x, y) -> Fraction:
         """Norm of the real class x*m + y*l; homogeneous of degree 1."""
@@ -123,8 +127,8 @@ class CSNormData:
         dirs.sort(key=cmp_to_key(_ccw_compare))
         vertices = []
         for t, u in dirs:
-            n = self.evaluate_real(t, u)
-            vertices.append((Fraction(t) / n, Fraction(u) / n))
+            n = self._direction_norm(t, u)
+            vertices.append((Fraction(t, n), Fraction(u, n)))
         return vertices
 
     def min_norm_nontrivial(self) -> tuple[int, Slope]:
@@ -139,20 +143,22 @@ class CSNormData:
             if not s.is_meridian:
                 candidates.append(self._search_key(s))
         best = min(candidates)
-        vertices = self.unit_ball_vertices()
-        x_extent = max(abs(v[0]) for v in vertices)
-        y_extent = max(abs(v[1]) for v in vertices)
-        p_max = math.floor(best[0] * x_extent)
-        q_max = math.floor(best[0] * y_extent)
+        p_max, q_max = self._search_box(best[0])
         for q in range(1, q_max + 1):
             for p in range(-p_max, p_max + 1):
                 if math.gcd(abs(p), q) != 1:
                     continue
-                val = sum(a * abs(p * s.q - q * s.p) for s, a in self.terms)
+                val = self._direction_norm(p, q)
                 key = (val, q, abs(p), 0 if p >= 0 else 1, p, q)
                 if key < best:
                     best = key
         return best[0], Slope(best[4], best[5])
+
+    def _search_box(self, bound: int) -> tuple[int, int]:
+        # integer bounding box of bound * unit ball: its vertices are the
+        # term directions (t, u) scaled to norm bound
+        norms = [(s, self._direction_norm(s.p, s.q)) for s in self.support]
+        return max(bound * abs(s.p) // n for s, n in norms), max(bound * s.q // n for s, n in norms)
 
     def _search_key(self, s: Slope) -> tuple:
         val = self.evaluate(s)
@@ -180,10 +186,10 @@ class BoundarySlopeSet:
 
     def diam(self) -> Fraction:
         """Greatest minus least numerical value; the meridian is ignored."""
-        values = [s.value() for s in self.finite]
-        if len(values) < 2:
+        finite = self.finite
+        if len(finite) < 2:
             raise ValueError("diameter undefined")
-        return max(values) - min(values)
+        return finite[-1].value() - finite[0].value()
 
     def __contains__(self, slope: Slope) -> bool:
         return slope in self.slopes

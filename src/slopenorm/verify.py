@@ -51,9 +51,6 @@ FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 
-def _fmt(x) -> str:
-    return str(Fraction(x)) if not isinstance(x, str) else x
-
 def _dec(x) -> str:
     return f"{float(x):.12g}"
 
@@ -121,13 +118,13 @@ def verify_norm_ge_length(m: ManifoldData, r: Slope) -> VerifyReport:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
     n = m.norm.evaluate(r)
     len2 = m.cusp.squared_length(r)
-    lhs = Fraction(9 * n * n)
+    lhs = 9 * n * n
     rhs = 4 * len2
     status, rel = _classify(lhs, rhs)
     return VerifyReport(
-        stmt, status, _fmt(lhs), _fmt(rhs), rel,
+        stmt, status, str(lhs), str(rhs), rel,
         witnesses=(str(r),),
-        detail=f"norm = {n}, squared length = {_fmt(len2)}",
+        detail=f"norm = {n}, squared length = {len2}",
     )
 
 
@@ -135,8 +132,8 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
     """Run the thm1 comparison over every slope with |p|, q <= limit
     (meridian included) and aggregate the outcome.
 
-    The slopes are counted, not visited.  With the Gram matrix scaled by the
-    lcm L of its denominators, thm1 fails at p/q exactly where
+    The slopes are counted, not visited.  On the lattice's Gram matrix scaled
+    by the lcm L of its denominators, thm1 fails at p/q exactly where
     F = 9*L*norm^2 - 4*L*len^2 is negative.  Between consecutive finite term
     slopes the norm is a linear form A*p + B*q, so there F is an integer
     quadratic form, and `count_negative` counts its negative slopes row by
@@ -146,9 +143,7 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
     stmt = f"thm1[range {limit}]"
     if m.cusp is None or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
-    gram = (m.cusp.g_mm, m.cusp.g_ml, m.cusp.g_ll)
-    scale = math.lcm(*(g.denominator for g in gram))
-    a, b, c = (int(g * scale) for g in gram)
+    scale, a, b, c = m.cusp._scaled
     nine_l = 9 * scale
     pieces = []  # those where F = alpha*p^2 + 2*beta*p*q + gamma*q^2 can be negative
     for lower, upper, big_a, big_b in m.norm.linear_pieces():
@@ -184,11 +179,11 @@ def prop4_hypothesis(m: ManifoldData) -> VerifyReport:
         if all(d * s.b + 2 * s.euler >= 0 for s in (s1, s2)):
             bound = max(Fraction(-s.euler, s.b) * 2 for s in (s1, s2))
             return VerifyReport(
-                stmt, HOLDS, _fmt(d), _fmt(bound), ">=",
+                stmt, HOLDS, str(d), str(bound), ">=",
                 witnesses=(str(s1.slope), str(s2.slope)),
                 detail=(
                     f"distance {d} against 2*(-euler)/b = "
-                    f"{_fmt(Fraction(-2 * s1.euler, s1.b))} and {_fmt(Fraction(-2 * s2.euler, s2.b))}"
+                    f"{Fraction(-2 * s1.euler, s1.b)} and {Fraction(-2 * s2.euler, s2.b)}"
                 ),
             )
     return VerifyReport(
@@ -211,7 +206,7 @@ def prop6_condition(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
         pair_ok = all(d + 2 * s.euler >= 0 for s in (s1, s2))
         detail += f"; spanning pair, distance bound for the pair hypothesis: {'yes' if pair_ok else 'no'}"
     return VerifyReport(
-        stmt, status, _fmt(lhs), _fmt(rhs), rel,
+        stmt, status, str(lhs), str(rhs), rel,
         witnesses=(str(s1.slope), str(s2.slope)),
         detail=detail,
     )
@@ -227,6 +222,17 @@ def _length_radicands(lattice: CuspLattice, r1: Slope, r2: Slope) -> tuple[Fract
     a = lattice.squared_length(r1) / (r1.q * r1.q)
     b = lattice.squared_length(r2) / (r2.q * r2.q)
     return a, b, (r1.value() - r2.value()) ** 2
+
+
+def _bracketing_gap(slopes: BoundarySlopeSet, r1: Slope, r2: Slope) -> tuple[Slope, str] | None:
+    """None when r1 is at or above every finite boundary slope and r2 at or
+    below; otherwise the first extremal slope out of place and why."""
+    finite = slopes.finite
+    if r1.value() < finite[-1].value():
+        return finite[-1], f"{r1} is below the maximal boundary slope {finite[-1]}"
+    if r2.value() > finite[0].value():
+        return finite[0], f"{r2} is above the minimal boundary slope {finite[0]}"
+    return None
 
 
 def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyReport:
@@ -245,7 +251,7 @@ def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyRepo
         unit_sign = cmp_sqrt3(a, b, diff2)
         detail += f"; unit-meridian form (rhs |r1 - r2|): {'holds' if unit_sign > 0 else 'fails'}"
     return VerifyReport(
-        stmt, status, f"sqrt({_fmt(a)}) + sqrt({_fmt(b)})", f"sqrt({_fmt(c)})", rel,
+        stmt, status, f"sqrt({a}) + sqrt({b})", f"sqrt({c})", rel,
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -268,9 +274,7 @@ def verify_prop_norm(
     rhs = abs(r1.value() - r2.value())
     status, rel = _classify(lhs, rhs)
     detail = ""
-    finite = slopes.finite
-    bracketing = bool(finite) and r1.value() >= finite[-1].value() and r2.value() <= finite[0].value()
-    if bracketing:
+    if _bracketing_gap(slopes, r1, r2) is None:
         if norm.has_meridian_term:
             detail = "equality not asserted (meridional weight present)"
         elif status != EQUALITY:
@@ -279,7 +283,7 @@ def verify_prop_norm(
         else:
             detail = "extremal pair: equality expected and found"
     return VerifyReport(
-        stmt, status, _fmt(lhs), _fmt(rhs), rel,
+        stmt, status, str(lhs), str(rhs), rel,
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -293,17 +297,9 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
     stmt = f"thm2({r1}, {r2})"
     if m.cusp is None or not m.cusp.maximal or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs a maximal cusp shape and norm data")
-    finite = m.boundary_slopes.finite
-    if r1.value() < finite[-1].value():
-        return VerifyReport(
-            stmt, NOT_APPLICABLE, witnesses=(str(finite[-1]),),
-            detail=f"{r1} is below the maximal boundary slope {finite[-1]}",
-        )
-    if r2.value() > finite[0].value():
-        return VerifyReport(
-            stmt, NOT_APPLICABLE, witnesses=(str(finite[0]),),
-            detail=f"{r2} is above the minimal boundary slope {finite[0]}",
-        )
+    gap = _bracketing_gap(m.boundary_slopes, r1, r2)
+    if gap:
+        return VerifyReport(stmt, NOT_APPLICABLE, witnesses=(str(gap[0]),), detail=gap[1])
     a, b, c = _length_radicands(m.cusp, r1, r2)
     sign = cmp_sqrt3(a, b, c)
     norm_report = verify_prop_norm(m.norm, r1, r2, m.boundary_slopes)
@@ -320,10 +316,10 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
         nm = m.norm.meridian_norm()
         detail += (
             f"; integral form: len({r1}) + len({r2}) > "
-            f"(norm {n1} + norm {n2}) / norm(m) {nm} = {_fmt(Fraction(n1 + n2, nm))}"
+            f"(norm {n1} + norm {n2}) / norm(m) {nm} = {Fraction(n1 + n2, nm)}"
         )
     return VerifyReport(
-        stmt, status, f"sqrt({_fmt(a)}) + sqrt({_fmt(b)})", _fmt(abs(r1.value() - r2.value())), ">",
+        stmt, status, f"sqrt({a}) + sqrt({b})", str(abs(r1.value() - r2.value())), ">",
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -356,7 +352,7 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
         status, rel, detail = FAILS, "<", "diameter below the norm bound"
     if m.norm.has_meridian_term and detail == "":
         detail = "meridional weight present"
-    return VerifyReport(stmt, status, _fmt(d), _fmt(rhs), rel, witnesses=(str(r),), detail=detail)
+    return VerifyReport(stmt, status, str(d), str(rhs), rel, witnesses=(str(r),), detail=detail)
 
 
 def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
@@ -374,9 +370,9 @@ def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     d = m.boundary_slopes.diam()
     status, rel = _classify(bound, d) if 2 * max_term >= d else (FAILS, "<")
     return VerifyReport(
-        stmt, status, _fmt(bound), _fmt(d), rel,
+        stmt, status, str(bound), str(d), rel,
         witnesses=(str(s_top), str(s_bot)),
-        detail=f"max form: 2 * {_fmt(max_term)} = {_fmt(2 * max_term)} vs {_fmt(d)}",
+        detail=f"max form: 2 * {max_term} = {2 * max_term} vs {d}",
     )
 
 
@@ -398,9 +394,9 @@ def corollary_euler(
     rhs2 = distance(r1, r2)
     ok = lhs1 > rhs1 and lhs2 > rhs2
     return VerifyReport(
-        stmt, HOLDS if ok else FAILS, _fmt(lhs1), _fmt(rhs1), ">" if ok else "<=",
+        stmt, HOLDS if ok else FAILS, str(lhs1), str(rhs1), ">" if ok else "<=",
         witnesses=(str(r1), str(r2)),
-        detail=f"distance form: {_fmt(lhs2)} vs {rhs2}",
+        detail=f"distance form: {lhs2} vs {rhs2}",
     )
 
 
@@ -418,10 +414,10 @@ def family_ratio_unbounded(n_values) -> VerifyReport:
     return VerifyReport(
         "ratio-unbounded",
         HOLDS if increasing else FAILS,
-        ", ".join(_fmt(b) for b in bounds),
+        ", ".join(str(b) for b in bounds),
         "strictly increasing",
         "is" if increasing else "is not",
-        witnesses=tuple(f"n={n}: {_fmt(b)}" for n, b in zip(ns, bounds)),
+        witnesses=tuple(f"n={n}: {b}" for n, b in zip(ns, bounds)),
     )
 
 
@@ -503,8 +499,8 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
                     VerifyReport(
                         f"length-bound({s.slope})",
                         HOLDS if ok else FAILS,
-                        _fmt(m.cusp.squared_length(s.slope) * s.b * s.b),
-                        _fmt(36 * s.euler * s.euler),
+                        str(m.cusp.squared_length(s.slope) * s.b * s.b),
+                        str(36 * s.euler * s.euler),
                         "<=" if ok else ">",
                         witnesses=(str(s.slope),),
                     )

@@ -108,6 +108,54 @@ def test_scaling_property():
         assert scaled.sin_sq_angle(r, s) == lattice.sin_sq_angle(r, s)
 
 
+def fraction_qval(lattice, p, q):
+    return p * p * lattice.g_mm + 2 * p * q * lattice.g_ml + q * q * lattice.g_ll
+
+
+def negative_ml(lattice):
+    # the mirror image p -> -p: the same lengths, with g_ml <= 0
+    return CuspLattice(lattice.g_mm, -abs(lattice.g_ml), lattice.g_ll)
+
+
+def has_denominator(lattice):
+    return any(g.denominator > 1 for g in (lattice.g_mm, lattice.g_ml, lattice.g_ll))
+
+
+def test_integer_gram_matches_fraction_formulas():
+    rng = random.Random(29)
+    with_denominators = 0
+    for _ in range(300):
+        lattice = negative_ml(random_lattice(rng))
+        if lattice.g_ml < 0 and has_denominator(lattice):
+            with_denominators += 1
+        r, s = random_slope_pair(rng, 30, 30)
+        lr, ls = fraction_qval(lattice, r.p, r.q), fraction_qval(lattice, s.p, s.q)
+        dot = r.p * s.p * lattice.g_mm + (r.p * s.q + r.q * s.p) * lattice.g_ml + r.q * s.q * lattice.g_ll
+        assert type(lattice.squared_length(r)) is Fraction
+        assert lattice.squared_length(r) == lr
+        assert lattice.sin_sq_angle(r, s) == (lr * ls - dot * dot) / (lr * ls)
+    assert with_denominators > 200
+
+
+def test_systole_with_denominators_matches_brute_force():
+    rng = random.Random(30)
+    with_denominators = 0
+    for _ in range(60):
+        lattice = negative_ml(random_sheared_lattice(rng))
+        if has_denominator(lattice):
+            with_denominators += 1
+        systole = lattice.systole_squared()
+        assert type(systole[0]) is Fraction
+        assert systole == brute_force_systole(lattice)
+    assert with_denominators > 30
+
+
+def test_scaled_gram_is_not_a_field():
+    a, b = CuspLattice("1/2", 0, 3), CuspLattice(Fraction(2, 4), 0, 3)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "CuspLattice(g_mm=Fraction(1, 2), g_ml=Fraction(0, 1), g_ll=Fraction(3, 1), maximal=False)"
+
+
 def test_systole_examples():
     assert FIG8.systole_squared() == (1, MERIDIAN)
     # square lattice: tie between meridian and longitude, meridian wins

@@ -2,7 +2,6 @@ import pytest
 
 from slopenorm import (
     HOLDS,
-    FamilySpec,
     Slope,
     distance,
     fig8_dataset,
@@ -88,24 +87,22 @@ def test_twobridge_dataset():
         twobridge_dataset(3)  # no all-negative split exists
 
 
-def test_family_spec_validation():
-    FamilySpec("figure_eight")
-    FamilySpec("pretzel_2_3_n", {"n": 7})
-    FamilySpec("two_bridge_abstract", {"crossings": 4})
-    FamilySpec("two_bridge_abstract", {"crossings": 5, "chi1": -1, "chi2": -2})
-    with pytest.raises(ValueError, match="unknown family"):
-        FamilySpec("torus")
+def test_family_builder_validation():
+    fig8_dataset()
+    pretzel_dataset(7)
+    twobridge_dataset(4)
+    twobridge_dataset(5, -1)
+    assert twobridge_pair(5, -1, -2).status == HOLDS
     with pytest.raises(ValueError, match="odd integer >= 7"):
-        FamilySpec("pretzel_2_3_n", {"n": 6})
+        pretzel_dataset(6)
     with pytest.raises(ValueError, match="sum to 2 - crossings"):
-        FamilySpec("two_bridge_abstract", {"crossings": 5, "chi1": -1, "chi2": -1})
+        twobridge_pair(5, -1, -1)
     with pytest.raises(ValueError, match="negative"):
-        FamilySpec("two_bridge_abstract", {"crossings": 3})  # no all-negative split exists
+        twobridge_dataset(3)  # no all-negative split exists
 
 
-def test_family_spec_build():
-    assert FamilySpec("figure_eight").build() == fig8_dataset()
-    assert FamilySpec("pretzel_2_3_n", {"n": 7}).build() == pretzel_dataset(7)
-    spec = FamilySpec("two_bridge_abstract", {"crossings": 6})
-    assert spec.build() == twobridge_dataset(6)
-    assert spec.hypothesis_report().status == HOLDS
+def test_family_builder_build():
+    m = twobridge_dataset(6)
+    assert m == twobridge_dataset(6, -2)  # the default split is the balanced one
+    chi1, chi2 = sorted(s.euler for s in m.surfaces)
+    assert twobridge_pair(6, chi1, chi2).status == HOLDS

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from slopenorm import (
+    LONGITUDE,
     MERIDIAN,
     BoundarySlopeSet,
     CSNormData,
@@ -114,6 +115,43 @@ def test_unit_ball_defining_property():
         assert set(verts) == {(-x, -y) for x, y in verts}
 
 
+def fraction_unit_ball_vertices(norm):
+    # the Fraction formula: each term direction and its antipode over
+    # evaluate_real, counterclockwise from the positive x-axis
+    dirs = [d for s in norm.support for d in ((s.p, s.q), (-s.p, -s.q))]
+    dirs.sort(key=lambda d: math.atan2(d[1], d[0]) % (2 * math.pi))
+    return [(Fraction(t) / norm.evaluate_real(t, u), Fraction(u) / norm.evaluate_real(t, u)) for t, u in dirs]
+
+
+def norms_with_and_without_meridian(rng, count):
+    norms = [FIG8_NORM, DIAMOND]
+    for i in range(count):
+        norm = random_norm_data(rng)
+        if i % 3 == 0:
+            norm = CSNormData(norm.terms + ((MERIDIAN, rng.choice((2, 4))),))
+        norms.append(norm)
+    return norms
+
+
+def test_unit_ball_matches_fraction_formula():
+    rng = random.Random(36)
+    for norm in norms_with_and_without_meridian(rng, 60):
+        verts = norm.unit_ball_vertices()
+        assert verts == fraction_unit_ball_vertices(norm)
+        assert all(type(x) is Fraction and type(y) is Fraction for x, y in verts)
+
+
+def test_search_box_is_the_unit_ball_box():
+    rng = random.Random(37)
+    for norm in norms_with_and_without_meridian(rng, 60):
+        verts = norm.unit_ball_vertices()
+        x_extent = max(abs(x) for x, _ in verts)
+        y_extent = max(abs(y) for _, y in verts)
+        best = norm.min_norm_nontrivial()[0]
+        for bound in (1, 2, 7, best, norm.evaluate(LONGITUDE), 1000):
+            assert norm._search_box(bound) == (math.floor(bound * x_extent), math.floor(bound * y_extent))
+
+
 def test_min_norm_examples():
     assert FIG8_NORM.min_norm_nontrivial() == (16, Slope(0, 1))
     assert DIAMOND.min_norm_nontrivial() == (2, Slope(0, 1))
@@ -165,6 +203,13 @@ def test_diam():
     assert BoundarySlopeSet((Slope(4, 1), Slope(-4, 1), MERIDIAN)).diam() == 8
     with pytest.raises(ValueError, match="diameter undefined"):
         BoundarySlopeSet((Slope(0, 1), MERIDIAN)).diam()
+    rng = random.Random(38)
+    for _ in range(100):
+        slopes = {random_slope(rng, 30, 6) for _ in range(rng.randint(3, 6))}
+        values = [s.value() for s in slopes if not s.is_meridian]
+        if len(values) >= 2:
+            diam = BoundarySlopeSet(tuple(slopes)).diam()
+            assert type(diam) is Fraction and diam == max(values) - min(values)
 
 
 def test_boundary_slope_set_order_and_lookup():
