@@ -27,9 +27,13 @@ def cmp_sqrt3(a: RationalLike, b: RationalLike, c: RationalLike) -> int:
 
     Squaring twice removes the radicals: sqrt(a) + sqrt(b) >= sqrt(c) iff
     2*sqrt(a*b) >= c - a - b, and once the right side is non-negative both
-    sides can be squared.  No floating point is involved.
+    sides can be squared.  No floating point is involved, and no Fraction
+    arithmetic: over their common denominator the three are integers, and
+    scaling all of them by one positive factor keeps the sign.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    a, b, c = (x.numerator * (den // x.denominator) for x in (a, b, c))
     if a < 0 or b < 0 or c < 0:
         raise ValueError("negative input")
     d = c - a - b

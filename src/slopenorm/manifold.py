@@ -36,7 +36,8 @@ def _parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_TEXT.fullmatch(text.strip()):
         raise ValueError(f"not a rational: {text!r}")
-    return Fraction(text.strip())
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,14 @@ class ManifoldData:
             self.boundary_slopes, self.norm, self.surfaces, self.meridian_norm_certificate
         )
         if problems:
-            raise ValueError("; ".join(problems))
+            raise _Inconsistent(problems)
+
+
+class _Inconsistent(ValueError):
+    # the problems ManifoldData rejects, kept as a list for from_document
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("; ".join(problems))
 
 
 def _consistency_problems(bset, norm, surfaces, certificate) -> list[str]:
@@ -238,17 +246,12 @@ def from_document(doc) -> ManifoldData:
     surfaces = _parse_surfaces(doc.get("surfaces"), problems)
 
     certificate = doc.get("meridian_norm_certificate")
-    problems += _consistency_problems(bset, norm, surfaces, certificate)
     if problems:
-        raise ManifoldFormatError(problems)
-    return ManifoldData(
-        name=name,
-        boundary_slopes=bset,
-        cusp=cusp,
-        norm=norm,
-        surfaces=surfaces,
-        meridian_norm_certificate=certificate,
-    )
+        raise ManifoldFormatError(problems + _consistency_problems(bset, norm, surfaces, certificate))
+    try:  # ManifoldData checks the consistency problems, once
+        return ManifoldData(name, bset, cusp, norm, surfaces, certificate)
+    except _Inconsistent as exc:
+        raise ManifoldFormatError(exc.problems) from None
 
 
 def to_document(m: ManifoldData) -> dict:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterator
 
-from .slopes import MERIDIAN, Slope
+from .slopes import Slope, _value_key
 
 __all__ = ["CSNormData", "BoundarySlopeSet"]
 
@@ -23,22 +22,6 @@ __all__ = ["CSNormData", "BoundarySlopeSet"]
 def is_norm_weight(weight) -> bool:
     """Whether weight is a valid norm-term weight: a positive even int."""
     return isinstance(weight, int) and not isinstance(weight, bool) and weight > 0 and weight % 2 == 0
-
-
-def _ccw_compare(v: tuple[int, int], w: tuple[int, int]) -> int:
-    # counterclockwise from the positive x-axis; exact integer predicate
-    def half(u: tuple[int, int]) -> int:
-        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-
-    hv, hw = half(v), half(w)
-    if hv != hw:
-        return -1 if hv < hw else 1
-    cross = v[0] * w[1] - v[1] * w[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -54,20 +37,24 @@ class CSNormData:
 
     def __post_init__(self) -> None:
         cleaned = []
-        for entry in self.terms:
-            slope, weight = entry
+        for slope, weight in self.terms:
             if not isinstance(slope, Slope):
                 raise TypeError("norm term slope must be a Slope")
             if not is_norm_weight(weight):
                 raise ValueError("weight must be positive even")
             cleaned.append((slope, weight))
-        cleaned.sort(key=lambda t: t[0].sort_key())
-        slopes = [s for s, _ in cleaned]
-        if len(set(slopes)) != len(slopes):
+        key = _value_key([s for s, _ in cleaned])
+        cleaned.sort(key=lambda t: key(t[0]))
+        # (weight, p, q) per term and the meridian norm, the sum of weight*q;
+        # not fields, so ==, hash and repr ignore them
+        table = tuple((w, s.p, s.q) for s, w in cleaned)
+        if len({(p, q) for _, p, q in table}) != len(table):
             raise ValueError("duplicate slope in norm terms")
-        if len(slopes) < 2:
+        if len(table) < 2:
             raise ValueError("need at least two distinct slopes")
         object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "_terms", table)
+        object.__setattr__(self, "_meridian_norm", sum(w * q for w, _, q in table))
 
     @property
     def support(self) -> tuple[Slope, ...]:
@@ -75,7 +62,7 @@ class CSNormData:
 
     @property
     def has_meridian_term(self) -> bool:
-        return any(s.is_meridian for s, _ in self.terms)
+        return self._terms[-1][2] == 0  # the meridian sorts last
 
     def evaluate(self, r: Slope) -> int:
         """Norm of the slope r: the weighted sum of distances to the terms."""
@@ -83,7 +70,10 @@ class CSNormData:
 
     def _direction_norm(self, t: int, u: int) -> int:
         # norm of the integer class t*m + u*l
-        return sum(a * abs(t * s.q - u * s.p) for s, a in self.terms)
+        n = 0
+        for a, p, q in self._terms:
+            n += a * abs(t * q - u * p)
+        return n
 
     def evaluate_real(self, x, y) -> Fraction:
         """Norm of the real class x*m + y*l; homogeneous of degree 1."""
@@ -92,7 +82,7 @@ class CSNormData:
 
     def meridian_norm(self) -> int:
         """Norm of the meridian: the weighted sum of term denominators."""
-        return self.evaluate(MERIDIAN)
+        return self._meridian_norm
 
     def linear_pieces(self) -> list[tuple[Slope | None, Slope | None, int, int]]:
         """The norm as integer linear forms between consecutive finite term
@@ -100,16 +90,16 @@ class CSNormData:
         q > 0 and lower <= p/q <= upper, in increasing order; None leaves a
         side unbounded.
         """
-        finite = [(s, w) for s, w in self.terms if not s.is_meridian]
-        # below every finite term slope each distance is q*t - p*u (or q for
-        # the meridian); passing the term t/u of weight w adds 2*w*(p*u - q*t)
-        a = -sum(w * s.q for s, w in finite)
-        b = sum(w * s.p for s, w in finite) + sum(w for s, w in self.terms if s.is_meridian)
+        # below every finite term slope the distance to each term t/u, the
+        # meridian 1/0 included, is q*t - p*u, so A = -norm(m) and B is the
+        # sum of w*t; passing the term t/u of weight w adds 2*w*(p*u - q*t)
+        a, b = -self._meridian_norm, sum(w * t for w, t, _ in self._terms)
         pieces = []
         lower = None
-        for upper, w in finite:
-            pieces.append((lower, upper, a, b))
-            a, b, lower = a + 2 * w * upper.q, b - 2 * w * upper.p, upper
+        for (upper, _), (w, t, u) in zip(self.terms, self._terms):
+            if u:
+                pieces.append((lower, upper, a, b))
+                a, b, lower = a + 2 * w * u, b - 2 * w * t, upper
         pieces.append((lower, None, a, b))
         return pieces
 
@@ -118,18 +108,12 @@ class CSNormData:
 
         The norm kinks exactly on the rays spanned by the stored slopes, so
         the vertices are the points (t, u)/norm(t, u) over the terms t/u and
-        their antipodes, sorted by angle from the positive x-axis.
+        their antipodes.  Counterclockwise from the positive x-axis the terms
+        come in reverse order, the meridian first and then decreasing t/u,
+        and their antipodes follow in the same order.
         """
-        dirs: list[tuple[int, int]] = []
-        for s, _ in self.terms:
-            dirs.append((s.p, s.q))
-            dirs.append((-s.p, -s.q))
-        dirs.sort(key=cmp_to_key(_ccw_compare))
-        vertices = []
-        for t, u in dirs:
-            n = self._direction_norm(t, u)
-            vertices.append((Fraction(t, n), Fraction(u, n)))
-        return vertices
+        rays = [(t, u, self._direction_norm(t, u)) for _, t, u in reversed(self._terms)]
+        return [(Fraction(sign * t, n), Fraction(sign * u, n)) for sign in (1, -1) for t, u, n in rays]
 
     def min_norm_nontrivial(self) -> tuple[int, Slope]:
         """Least norm over slopes other than the meridian, with a minimizer.
@@ -138,11 +122,8 @@ class CSNormData:
         ball, so the search is confined to the bounding box of that polygon.
         Ties go to the smallest q, then smallest |p|, then positive p.
         """
-        candidates = [self._search_key(Slope(0, 1))]
-        for s in self.support:
-            if not s.is_meridian:
-                candidates.append(self._search_key(s))
-        best = min(candidates)
+        starts = [(0, 1)] + [(t, u) for _, t, u in self._terms if u]
+        best = min(self._search_key(p, q) for p, q in starts)
         p_max, q_max = self._search_box(best[0])
         for q in range(1, q_max + 1):
             for p in range(-p_max, p_max + 1):
@@ -157,12 +138,11 @@ class CSNormData:
     def _search_box(self, bound: int) -> tuple[int, int]:
         # integer bounding box of bound * unit ball: its vertices are the
         # term directions (t, u) scaled to norm bound
-        norms = [(s, self._direction_norm(s.p, s.q)) for s in self.support]
-        return max(bound * abs(s.p) // n for s, n in norms), max(bound * s.q // n for s, n in norms)
+        norms = [(t, u, self._direction_norm(t, u)) for _, t, u in self._terms]
+        return max(bound * abs(t) // n for t, _, n in norms), max(bound * u // n for _, u, n in norms)
 
-    def _search_key(self, s: Slope) -> tuple:
-        val = self.evaluate(s)
-        return (val, s.q, abs(s.p), 0 if s.p >= 0 else 1, s.p, s.q)
+    def _search_key(self, p: int, q: int) -> tuple:
+        return (self._direction_norm(p, q), q, abs(p), 0 if p >= 0 else 1, p, q)
 
 
 @dataclass(frozen=True)
@@ -172,24 +152,33 @@ class BoundarySlopeSet:
     slopes: tuple[Slope, ...]
 
     def __post_init__(self) -> None:
-        slopes = tuple(sorted(self.slopes, key=lambda s: s.sort_key()))
+        slopes = tuple(self.slopes)
+        slopes = tuple(sorted(slopes, key=_value_key(slopes)))
         if len(set(slopes)) != len(slopes):
             raise ValueError("duplicate boundary slope")
-        if not any(not s.is_meridian for s in slopes):
+        # not a field, so ==, hash and repr ignore it
+        finite = tuple(s for s in slopes if not s.is_meridian)
+        if not finite:
             raise ValueError("need at least one finite boundary slope")
         object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "_finite", finite)
 
     @property
     def finite(self) -> tuple[Slope, ...]:
         """Non-meridional members, in increasing numerical order."""
-        return tuple(s for s in self.slopes if not s.is_meridian)
+        return self._finite
 
     def diam(self) -> Fraction:
         """Greatest minus least numerical value; the meridian is ignored."""
-        finite = self.finite
+        return Fraction(*self._diam_ratio())
+
+    def _diam_ratio(self) -> tuple[int, int]:
+        # diam() as an unreduced numerator and a positive denominator
+        finite = self._finite
         if len(finite) < 2:
             raise ValueError("diameter undefined")
-        return finite[-1].value() - finite[0].value()
+        lo, hi = finite[0], finite[-1]
+        return hi.p * lo.q - lo.p * hi.q, hi.q * lo.q
 
     def __contains__(self, slope: Slope) -> bool:
         return slope in self.slopes

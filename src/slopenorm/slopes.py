@@ -72,13 +72,18 @@ class Slope:
         s = text.strip()
         if not _SLOPE_TEXT.fullmatch(s):
             raise ValueError(f"not a slope: {text!r}")
-        if "/" in s:
-            num, den = s.split("/")
-            return cls(int(num), int(den))
-        return cls(int(s), 1)
+        num, _, den = s.partition("/")
+        return cls(int(num), int(den or 1))
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
+
+
+def _value_key(slopes):
+    """A sort key ordering the given slopes as Slope.sort_key does, in
+    integers: over the lcm L of their finite denominators, p/q is p*(L//q)."""
+    scale = math.lcm(*(s.q for s in slopes if s.q))
+    return lambda s: (1, 0) if s.q == 0 else (0, s.p * (scale // s.q))
 
 
 MERIDIAN = Slope(1, 0)

@@ -21,28 +21,12 @@ from .norm import BoundarySlopeSet, CSNormData
 from .slopes import MERIDIAN, Slope, distance
 
 __all__ = [
-    "HOLDS",
-    "EQUALITY",
-    "FAILS",
-    "NOT_APPLICABLE",
-    "VerifyReport",
-    "verify_norm_ge_length",
-    "sweep_norm_vs_length",
-    "prop4_hypothesis",
-    "prop6_condition",
-    "verify_prop_length",
-    "verify_prop_norm",
-    "verify_thm_length_norm",
-    "verify_thm_diam",
-    "verify_cor_ubdiam",
-    "corollary_euler",
-    "family_ratio_unbounded",
-    "standard_reports",
-    "thm1_slopes",
-    "extremal_pair",
-    "integral_extremal_pair",
-    "surface_pairs",
-    "cor_euler_applies",
+    "HOLDS", "EQUALITY", "FAILS", "NOT_APPLICABLE", "VerifyReport",
+    "verify_norm_ge_length", "sweep_norm_vs_length", "prop4_hypothesis",
+    "prop6_condition", "verify_prop_length", "verify_prop_norm",
+    "verify_thm_length_norm", "verify_thm_diam", "verify_cor_ubdiam", "corollary_euler",
+    "family_ratio_unbounded", "standard_reports", "thm1_slopes", "extremal_pair",
+    "integral_extremal_pair", "surface_pairs", "cor_euler_applies",
 ]
 
 HOLDS = "holds"
@@ -53,6 +37,18 @@ NOT_APPLICABLE = "not-applicable"
 
 def _dec(x) -> str:
     return f"{float(x):.12g}"
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for integers, d != 0, without making the Fraction."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _finite(*slopes: Slope) -> None:
+    if any(s.is_meridian for s in slopes):
+        raise ValueError("infinite slope")
 
 
 def _classify(lhs, rhs) -> tuple[str, str]:
@@ -117,14 +113,12 @@ def verify_norm_ge_length(m: ManifoldData, r: Slope) -> VerifyReport:
     if m.cusp is None or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
     n = m.norm.evaluate(r)
-    len2 = m.cusp.squared_length(r)
-    lhs = 9 * n * n
-    rhs = 4 * len2
-    status, rel = _classify(lhs, rhs)
+    scale, len2 = m.cusp._scaled[0], m.cusp._qval(r.p, r.q)  # squared length len2/scale
+    status, rel = _classify(9 * n * n * scale, 4 * len2)
     return VerifyReport(
-        stmt, status, str(lhs), str(rhs), rel,
+        stmt, status, str(9 * n * n), _ratio(4 * len2, scale), rel,
         witnesses=(str(r),),
-        detail=f"norm = {n}, squared length = {len2}",
+        detail=f"norm = {n}, squared length = {_ratio(len2, scale)}",
     )
 
 
@@ -177,19 +171,13 @@ def prop4_hypothesis(m: ManifoldData) -> VerifyReport:
             continue
         d = distance(s1.slope, s2.slope)
         if all(d * s.b + 2 * s.euler >= 0 for s in (s1, s2)):
-            bound = max(Fraction(-s.euler, s.b) * 2 for s in (s1, s2))
+            bound1, bound2 = (_ratio(-2 * s.euler, s.b) for s in (s1, s2))
             return VerifyReport(
-                stmt, HOLDS, str(d), str(bound), ">=",
+                stmt, HOLDS, str(d), bound1 if s1.euler * s2.b <= s2.euler * s1.b else bound2, ">=",
                 witnesses=(str(s1.slope), str(s2.slope)),
-                detail=(
-                    f"distance {d} against 2*(-euler)/b = "
-                    f"{Fraction(-2 * s1.euler, s1.b)} and {Fraction(-2 * s2.euler, s2.b)}"
-                ),
+                detail=f"distance {d} against 2*(-euler)/b = {bound1} and {bound2}",
             )
-    return VerifyReport(
-        stmt, FAILS,
-        detail="no ideal-point surface pair satisfies the distance bound",
-    )
+    return VerifyReport(stmt, FAILS, detail="no ideal-point surface pair satisfies the distance bound")
 
 
 def prop6_condition(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
@@ -217,21 +205,19 @@ def prop6_condition(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
 
 def _length_radicands(lattice: CuspLattice, r1: Slope, r2: Slope) -> tuple[Fraction, Fraction, Fraction]:
     """len^2(r1)/q1^2, len^2(r2)/q2^2 and (r1 - r2)^2 for two finite slopes."""
-    if r1.is_meridian or r2.is_meridian:
-        raise ValueError("infinite slope")
-    a = lattice.squared_length(r1) / (r1.q * r1.q)
-    b = lattice.squared_length(r2) / (r2.q * r2.q)
-    return a, b, (r1.value() - r2.value()) ** 2
+    _finite(r1, r2)
+    a, b = (Fraction(lattice._qval(r.p, r.q), lattice._scaled[0] * r.q * r.q) for r in (r1, r2))
+    return a, b, Fraction(distance(r1, r2) ** 2, (r1.q * r2.q) ** 2)
 
 
 def _bracketing_gap(slopes: BoundarySlopeSet, r1: Slope, r2: Slope) -> tuple[Slope, str] | None:
     """None when r1 is at or above every finite boundary slope and r2 at or
     below; otherwise the first extremal slope out of place and why."""
-    finite = slopes.finite
-    if r1.value() < finite[-1].value():
-        return finite[-1], f"{r1} is below the maximal boundary slope {finite[-1]}"
-    if r2.value() > finite[0].value():
-        return finite[0], f"{r2} is above the minimal boundary slope {finite[0]}"
+    top, bot = slopes.finite[-1], slopes.finite[0]
+    if r1.p * top.q < top.p * r1.q:
+        return top, f"{r1} is below the maximal boundary slope {top}"
+    if r2.p * bot.q > bot.p * r2.q:
+        return bot, f"{r2} is above the minimal boundary slope {bot}"
     return None
 
 
@@ -266,13 +252,11 @@ def verify_prop_norm(
     meridional weight is present, equality is forced; anything else there is
     reported as a failure of the data.
     """
-    if r1.is_meridian or r2.is_meridian:
-        raise ValueError("infinite slope")
+    _finite(r1, r2)
     stmt = f"prop-norm({r1}, {r2})"
-    nm = norm.meridian_norm()
-    lhs = Fraction(norm.evaluate(r1), r1.q * nm) + Fraction(norm.evaluate(r2), r2.q * nm)
-    rhs = abs(r1.value() - r2.value())
-    status, rel = _classify(lhs, rhs)
+    nm, q12, d = norm.meridian_norm(), r1.q * r2.q, distance(r1, r2)
+    lhs = norm.evaluate(r1) * r2.q + norm.evaluate(r2) * r1.q  # over q12 * nm; |r1 - r2| = d / q12
+    status, rel = _classify(lhs, d * nm)
     detail = ""
     if _bracketing_gap(slopes, r1, r2) is None:
         if norm.has_meridian_term:
@@ -283,7 +267,7 @@ def verify_prop_norm(
         else:
             detail = "extremal pair: equality expected and found"
     return VerifyReport(
-        stmt, status, str(lhs), str(rhs), rel,
+        stmt, status, _ratio(lhs, q12 * nm), _ratio(d, q12), rel,
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -292,8 +276,7 @@ def verify_prop_norm(
 def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyReport:
     """Check the chain len(r1)/q1 + len(r2)/q2 > |r1 - r2| = norm side,
     for a pair bracketing every boundary slope on a maximal horotorus."""
-    if r1.is_meridian or r2.is_meridian:
-        raise ValueError("infinite slope")
+    _finite(r1, r2)
     stmt = f"thm2({r1}, {r2})"
     if m.cusp is None or not m.cusp.maximal or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs a maximal cusp shape and norm data")
@@ -316,10 +299,10 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
         nm = m.norm.meridian_norm()
         detail += (
             f"; integral form: len({r1}) + len({r2}) > "
-            f"(norm {n1} + norm {n2}) / norm(m) {nm} = {Fraction(n1 + n2, nm)}"
+            f"(norm {n1} + norm {n2}) / norm(m) {nm} = {_ratio(n1 + n2, nm)}"
         )
     return VerifyReport(
-        stmt, status, f"sqrt({a}) + sqrt({b})", str(abs(r1.value() - r2.value())), ">",
+        stmt, status, f"sqrt({a}) + sqrt({b})", norm_report.rhs, ">",
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -337,22 +320,18 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
     stmt = f"thm3({r})"
     if m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="no norm data")
-    if r.is_meridian:
-        raise ValueError("infinite slope")
+    _finite(r)
     if r not in m.boundary_slopes:
         raise ValueError("not a boundary slope")
-    d = m.boundary_slopes.diam()
-    rhs = Fraction(m.norm.evaluate(r), r.q * m.norm.meridian_norm())
-    if d > rhs:
-        status, rel, detail = HOLDS, ">", ""
-    elif d == rhs:
-        status, rel = FAILS, "="
-        detail = "bound met with equality; a strict inequality is required"
+    dn, dd = m.boundary_slopes._diam_ratio()
+    rn, rd = m.norm.evaluate(r), r.q * m.norm.meridian_norm()
+    status, rel = _classify(dn * rd, rn * dd)
+    if status != HOLDS:
+        status = FAILS
+        detail = "diameter below the norm bound" if rel == "<" else "bound met with equality; a strict inequality is required"
     else:
-        status, rel, detail = FAILS, "<", "diameter below the norm bound"
-    if m.norm.has_meridian_term and detail == "":
-        detail = "meridional weight present"
-    return VerifyReport(stmt, status, str(d), str(rhs), rel, witnesses=(str(r),), detail=detail)
+        detail = "meridional weight present" if m.norm.has_meridian_term else ""
+    return VerifyReport(stmt, status, _ratio(dn, dd), _ratio(rn, rd), rel, witnesses=(str(r),), detail=detail)
 
 
 def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
@@ -361,18 +340,20 @@ def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     stmt = "cor-ubdiam"
     if m.norm is None or len(m.boundary_slopes.finite) < 2:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs norm data and two finite boundary slopes")
-    nm = m.norm.meridian_norm()
+    nm, ev = m.norm.meridian_norm(), m.norm.evaluate
     s_top, s_bot = extremal_pair(m.boundary_slopes)
-    bound = Fraction(m.norm.evaluate(s_top), nm * s_top.q) + Fraction(
-        m.norm.evaluate(s_bot), nm * s_bot.q
-    )
-    max_term = max(Fraction(m.norm.evaluate(s), nm * s.q) for s in m.boundary_slopes.finite)
-    d = m.boundary_slopes.diam()
-    status, rel = _classify(bound, d) if 2 * max_term >= d else (FAILS, "<")
+    # the bound is bn/bd, the largest term tn/(nm*td), the diameter dn/dd
+    bn, bd = ev(s_top) * s_bot.q + ev(s_bot) * s_top.q, nm * s_top.q * s_bot.q
+    tn, td = 0, 1
+    for s in m.boundary_slopes.finite:
+        if ev(s) * td > tn * s.q:
+            tn, td = ev(s), s.q
+    dn, dd = m.boundary_slopes._diam_ratio()
+    status, rel = _classify(bn * dd, dn * bd) if 2 * tn * dd >= dn * nm * td else (FAILS, "<")
     return VerifyReport(
-        stmt, status, str(bound), str(d), rel,
+        stmt, status, _ratio(bn, bd), _ratio(dn, dd), rel,
         witnesses=(str(s_top), str(s_bot)),
-        detail=f"max form: 2 * {max_term} = {2 * max_term} vs {d}",
+        detail=f"max form: 2 * {_ratio(tn, nm * td)} = {_ratio(2 * tn, nm * td)} vs {_ratio(dn, dd)}",
     )
 
 
@@ -383,20 +364,17 @@ def corollary_euler(
     distance-form twin, both exactly in rationals."""
     if s1.slope != r1 or s2.slope != r2:
         raise ValueError("slope mismatch")
-    if r1.is_meridian or r2.is_meridian:
-        raise ValueError("infinite slope")
+    _finite(r1, r2)
     if s1.euler >= 0 or s2.euler >= 0:
         raise ValueError("non-negative Euler characteristic")
     stmt = f"cor-euler({r1}, {r2})"
-    lhs1 = 6 * (Fraction(-s1.euler, s1.b * r1.q) + Fraction(-s2.euler, s2.b * r2.q))
-    rhs1 = abs(r1.value() - r2.value())
-    lhs2 = 6 * (Fraction(r2.q * -s1.euler, s1.b) + Fraction(r1.q * -s2.euler, s2.b))
-    rhs2 = distance(r1, r2)
-    ok = lhs1 > rhs1 and lhs2 > rhs2
+    # the left sides are n/(b1*b2*q1*q2) and n/(b1*b2), the right d/(q1*q2) and d
+    n, bb, d = 6 * (-s1.euler * s2.b * r2.q - s2.euler * s1.b * r1.q), s1.b * s2.b, distance(r1, r2)
+    ok = n > bb * d
     return VerifyReport(
-        stmt, HOLDS if ok else FAILS, str(lhs1), str(rhs1), ">" if ok else "<=",
+        stmt, HOLDS if ok else FAILS, _ratio(n, bb * r1.q * r2.q), _ratio(d, r1.q * r2.q), ">" if ok else "<=",
         witnesses=(str(r1), str(r2)),
-        detail=f"distance form: {lhs2} vs {rhs2}",
+        detail=f"distance form: {_ratio(n, bb)} vs {d}",
     )
 
 
@@ -443,8 +421,8 @@ def extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
 def integral_extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
     """Integral slopes bracketing every boundary slope: the ceiling of the
     greatest finite one and the floor of the least."""
-    finite = slopes.finite
-    return Slope(math.ceil(finite[-1].value()), 1), Slope(math.floor(finite[0].value()), 1)
+    top, bot = slopes.finite[-1], slopes.finite[0]
+    return Slope(-(-top.p // top.q), 1), Slope(bot.p // bot.q, 1)
 
 
 def surface_pairs(m: ManifoldData) -> list[tuple[SurfaceData, SurfaceData]]:
@@ -495,14 +473,9 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
         for s in sorted(m.surfaces, key=lambda s: s.slope.sort_key()):
             if s.euler < 0:
                 ok = m.cusp.agol_check(s)
-                reports.append(
-                    VerifyReport(
-                        f"length-bound({s.slope})",
-                        HOLDS if ok else FAILS,
-                        str(m.cusp.squared_length(s.slope) * s.b * s.b),
-                        str(36 * s.euler * s.euler),
-                        "<=" if ok else ">",
-                        witnesses=(str(s.slope),),
-                    )
-                )
+                lhs = _ratio(m.cusp._qval(s.slope.p, s.slope.q) * s.b * s.b, m.cusp._scaled[0])
+                reports.append(VerifyReport(
+                    f"length-bound({s.slope})", HOLDS if ok else FAILS, lhs, str(36 * s.euler * s.euler),
+                    "<=" if ok else ">", witnesses=(str(s.slope),),
+                ))
     return reports

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from slopenorm import (
     save,
     to_document,
 )
+from slopenorm import manifold
+from slopenorm.manifold import _consistency_problems as consistency_problems
 
 FIG8_DOC = {
     "name": "figure-eight",
@@ -238,3 +241,47 @@ def test_duplicate_keys_rejected(tmp_path):
     with pytest.raises(ManifoldFormatError) as err:
         load(path)
     assert sorted(err.value.problems) == ["duplicate key 'g_ll'", "duplicate key 'name'"]
+
+
+@pytest.mark.parametrize("text", ["12", "+3", "-0/5", " 7/2 ", "-14/4", "0", "٣", "٣/7", 5, -8])
+def test_rational_parse_matches_fraction(text):
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["cusp"].update(g_mm="1000", g_ml=text, maximal=False)
+    value = from_document(doc).cusp.g_ml
+    assert type(value) is Fraction and value == Fraction(text.strip() if isinstance(text, str) else text)
+
+
+def count_consistency_checks(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return consistency_problems(*args)
+
+    monkeypatch.setattr(manifold, "_consistency_problems", counted)
+    return calls
+
+
+def test_consistency_checked_once_per_load(monkeypatch):
+    calls = count_consistency_checks(monkeypatch)
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["surfaces"] = [{"slope": "4/1", "euler": -1, "boundary_components": 1}]
+    assert from_document(doc).surfaces[0].slope == Slope(4, 1)
+    assert len(calls) == 1
+    # inconsistent documents: the problems still come as one list, in order
+    doc["surfaces"].append({"slope": "3/1", "euler": -1, "boundary_components": 1})
+    doc["meridian_norm_certificate"] = 6
+    with pytest.raises(ManifoldFormatError) as err:
+        from_document(doc)
+    assert err.value.problems == [
+        "meridian_norm_certificate 6 differs from norm(m) = 4",
+        "surface slope 3/1 not in boundary_slopes",
+    ]
+    assert str(err.value) == "invalid manifold document: " + "; ".join(err.value.problems)
+    assert len(calls) == 2
+    # with a parse problem too, the consistency problems follow it
+    doc["name"] = ""
+    with pytest.raises(ManifoldFormatError) as err:
+        from_document(doc)
+    assert err.value.problems[0] == "missing or empty name" and len(err.value.problems) == 3
+    assert len(calls) == 3

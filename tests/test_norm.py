@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -139,6 +140,42 @@ def test_unit_ball_matches_fraction_formula():
         verts = norm.unit_ball_vertices()
         assert verts == fraction_unit_ball_vertices(norm)
         assert all(type(x) is Fraction and type(y) is Fraction for x, y in verts)
+
+
+def ccw_compare(v, w):
+    # counterclockwise from the positive x-axis, exactly: the half-plane
+    # first (upper, with the positive x-axis), then the sign of the cross product
+    def half(u):
+        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+
+    if half(v) != half(w):
+        return -1 if half(v) < half(w) else 1
+    cross = v[0] * w[1] - v[1] * w[0]
+    return -1 if cross > 0 else 1 if cross < 0 else 0
+
+
+def test_unit_ball_order_matches_ccw_sort():
+    rng = random.Random(39)
+    norms = norms_with_and_without_meridian(rng, 60)
+    assert sum(norm.has_meridian_term for norm in norms) == 21
+    for norm in norms:
+        dirs = sorted((d for s in norm.support for d in ((s.p, s.q), (-s.p, -s.q))), key=cmp_to_key(ccw_compare))
+        verts = norm.unit_ball_vertices()
+        assert len(verts) == len(dirs)
+        for (t, u), (x, y) in zip(dirs, verts):
+            n = norm.evaluate_real(t, u)
+            assert (x, y) == (t / n, u / n)
+
+
+def test_private_tables_leave_equality_alone():
+    a = CSNormData(((Slope(4, 1), 2), (MERIDIAN, 4), (Slope(-4, 1), 2)))
+    b = CSNormData(((MERIDIAN, 4), (Slope(-4, 1), 2), (Slope(4, 1), 2)))
+    assert a == b and hash(a) == hash(b)
+    assert a._terms == ((2, -4, 1), (2, 4, 1), (4, 1, 0)) and a.meridian_norm() == 4
+    assert "_terms" not in repr(a) and "_meridian_norm" not in repr(a)
+    bset = BoundarySlopeSet((MERIDIAN, Slope(4, 1), Slope(-1, 3)))
+    assert bset == BoundarySlopeSet((Slope(-1, 3), Slope(4, 1), MERIDIAN))
+    assert bset.finite == (Slope(-1, 3), Slope(4, 1)) and "_finite" not in repr(bset)
 
 
 def test_search_box_is_the_unit_ball_box():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slopenorm import (
     EQUALITY,
@@ -16,10 +18,13 @@ from slopenorm import (
     ManifoldData,
     Slope,
     SurfaceData,
+    VerifyReport,
     corollary_euler,
+    distance,
     enumerate_slopes,
     family_ratio_unbounded,
     fig8_dataset,
+    integral_extremal_pair,
     pretzel_dataset,
     prop4_hypothesis,
     prop6_condition,
@@ -32,6 +37,7 @@ from slopenorm import (
     verify_thm_diam,
     verify_thm_length_norm,
 )
+from slopenorm.verify import _ratio
 from randgen import random_lattice, random_norm_data, random_slope_pair
 
 FIG8 = fig8_dataset()
@@ -433,6 +439,15 @@ def test_cor_euler_large_slack():
     assert corollary_euler(Slope(0, 1), Slope(4, 1), s1, s2).status == HOLDS
 
 
+def test_cor_euler_tie_fails():
+    # 6 * (1 + 1) = 12 = |12 - 0|: the strict inequality fails on both forms
+    s1 = SurfaceData(Slope(0, 1), euler=-1, b=1)
+    s2 = SurfaceData(Slope(12, 1), euler=-1, b=1)
+    rep = corollary_euler(s1.slope, s2.slope, s1, s2)
+    assert (rep.status, rep.lhs, rep.rhs, rep.relation) == (FAILS, "12", "12", "<=")
+    assert rep.detail == "distance form: 12 vs 12"
+
+
 def test_cor_euler_errors():
     s1 = SurfaceData(Slope(0, 1), euler=-1, b=1)
     s2 = SurfaceData(Slope(4, 1), euler=-1, b=1)
@@ -458,6 +473,17 @@ def test_family_ratio_invalid_n():
 
 
 # -- orchestration ------------------------------------------------------------------
+
+def test_integral_extremal_pair_rounds_outward():
+    rng = random.Random(47)
+    for _ in range(200):
+        bset = BoundarySlopeSet(tuple({random_slope_pair(rng, 30, 6)[0] for _ in range(rng.randint(2, 5))}))
+        finite = [s.value() for s in bset if not s.is_meridian]
+        if finite:
+            top, bot = integral_extremal_pair(bset)
+            assert (top, bot) == (Slope(math.ceil(max(finite)), 1), Slope(math.floor(min(finite)), 1))
+
+
 
 def test_standard_reports_fig8_all_ok():
     reports = standard_reports(FIG8)
@@ -488,3 +514,157 @@ def test_report_serialization():
     assert d["lhs"] == "8" and d["rhs"] == "4"
     assert d["witnesses"] == ["4/1"]
     assert "thm3(4/1)\tholds\t8\t>\t4" in rep.line()
+
+
+# -- integer reports against the Fraction formulas ------------------------------------
+
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(12, -8)
+@example(-5, 1)
+@example(5, -1)
+@example(-6, -3)
+def test_ratio_is_fraction_text(n, d):
+    assert _ratio(n, d) == str(Fraction(n, d))
+
+
+def fraction_classify(lhs, rhs):
+    return (HOLDS, ">") if lhs > rhs else (EQUALITY, "=") if lhs == rhs else (FAILS, "<")
+
+
+def finite_by_value(bset):
+    return sorted((s for s in bset if not s.is_meridian), key=lambda s: s.value())
+
+
+def fraction_thm1(m, r):
+    n, len2 = m.norm.evaluate(r), m.cusp.squared_length(r)
+    status, rel = fraction_classify(9 * n * n, 4 * len2)
+    return VerifyReport(
+        f"thm1({r})", status, str(9 * n * n), str(4 * len2), rel, (str(r),),
+        f"norm = {n}, squared length = {len2}",
+    )
+
+
+def fraction_thm3(m, r):
+    finite = finite_by_value(m.boundary_slopes)
+    d = finite[-1].value() - finite[0].value()
+    rhs = Fraction(m.norm.evaluate(r), r.q * m.norm.evaluate(MERIDIAN))
+    if d > rhs:
+        status, rel, detail = HOLDS, ">", ""
+        if any(s.is_meridian for s in m.norm.support):
+            detail = "meridional weight present"
+    elif d == rhs:
+        status, rel, detail = FAILS, "=", "bound met with equality; a strict inequality is required"
+    else:
+        status, rel, detail = FAILS, "<", "diameter below the norm bound"
+    return VerifyReport(f"thm3({r})", status, str(d), str(rhs), rel, (str(r),), detail)
+
+
+def fraction_cor_ubdiam(m):
+    finite = finite_by_value(m.boundary_slopes)
+    nm = m.norm.evaluate(MERIDIAN)
+    top, bot = finite[-1], finite[0]
+    bound = Fraction(m.norm.evaluate(top), nm * top.q) + Fraction(m.norm.evaluate(bot), nm * bot.q)
+    max_term = max(Fraction(m.norm.evaluate(s), nm * s.q) for s in finite)
+    d = top.value() - bot.value()
+    status, rel = fraction_classify(bound, d) if 2 * max_term >= d else (FAILS, "<")
+    return VerifyReport(
+        "cor-ubdiam", status, str(bound), str(d), rel, (str(top), str(bot)),
+        f"max form: 2 * {max_term} = {2 * max_term} vs {d}",
+    )
+
+
+def fraction_prop_norm(m, r1, r2):
+    nm = m.norm.evaluate(MERIDIAN)
+    lhs = Fraction(m.norm.evaluate(r1), r1.q * nm) + Fraction(m.norm.evaluate(r2), r2.q * nm)
+    rhs = abs(r1.value() - r2.value())
+    status, rel = fraction_classify(lhs, rhs)
+    detail = ""
+    finite = finite_by_value(m.boundary_slopes)
+    if r1.value() >= finite[-1].value() and r2.value() <= finite[0].value():
+        if any(s.is_meridian for s in m.norm.support):
+            detail = "equality not asserted (meridional weight present)"
+        elif status != EQUALITY:
+            status, detail = FAILS, "expected equality: the pair brackets every boundary slope"
+        else:
+            detail = "extremal pair: equality expected and found"
+    return VerifyReport(f"prop-norm({r1}, {r2})", status, str(lhs), str(rhs), rel, (str(r1), str(r2)), detail)
+
+
+def fraction_cor_euler(m, r1, r2):
+    s1, s2 = (next(s for s in m.surfaces if s.slope == r) for r in (r1, r2))
+    lhs1 = 6 * (Fraction(-s1.euler, s1.b * r1.q) + Fraction(-s2.euler, s2.b * r2.q))
+    rhs1 = abs(r1.value() - r2.value())
+    lhs2 = 6 * (Fraction(r2.q * -s1.euler, s1.b) + Fraction(r1.q * -s2.euler, s2.b))
+    rhs2 = distance(r1, r2)
+    ok = lhs1 > rhs1 and lhs2 > rhs2
+    return VerifyReport(
+        f"cor-euler({r1}, {r2})", HOLDS if ok else FAILS, str(lhs1), str(rhs1), ">" if ok else "<=",
+        (str(r1), str(r2)), f"distance form: {lhs2} vs {rhs2}",
+    )
+
+
+FRACTION_FORMULAS = {
+    "thm1": fraction_thm1,
+    "thm3": fraction_thm3,
+    "prop-norm": fraction_prop_norm,
+    "cor-euler": fraction_cor_euler,
+}
+
+
+def fraction_report(m, statement):
+    """The report the Fraction formulas give for a statement, or None when
+    the statement is not one of thm1, thm3, cor-ubdiam, prop-norm, cor-euler."""
+    if statement == "cor-ubdiam":
+        return fraction_cor_ubdiam(m)
+    name, _, args = statement.partition("(")
+    if name not in FRACTION_FORMULAS:
+        return None
+    return FRACTION_FORMULAS[name](m, *(Slope.parse(a) for a in args.rstrip(")").split(", ")))
+
+
+def reference_documents(count, seed):
+    """Seeded documents with cusp and norm data: every third lattice is
+    stretched until thm1 fails, every fourth norm has a meridian term, every
+    sixth boundary set lists the meridian, every fifth lattice is maximal,
+    every 25th norm has only one finite slope, and even ones carry surfaces."""
+    rng = random.Random(seed)
+    for i in range(count):
+        norm = random_norm_data(rng)
+        if i % 25 == 7:
+            norm = CSNormData(((MERIDIAN, 2), (norm.support[0], rng.choice((2, 4)))))
+        elif i % 4 == 0:
+            norm = CSNormData(norm.terms + ((MERIDIAN, rng.choice((2, 4))),))
+        lattice = random_lattice(rng)
+        if i % 3 == 0:
+            lattice = stretched(lattice, norm)
+        if i % 5 == 1:
+            k = max(1, math.ceil(1 / lattice.systole_squared()[0]))
+            lattice = CuspLattice(k * lattice.g_mm, k * lattice.g_ml, k * lattice.g_ll, maximal=True)
+        boundary = set(norm.support) | {random_slope_pair(rng, 30, 8, finite=True)[0] for _ in range(i % 3)}
+        if i % 6 == 0:
+            boundary.add(MERIDIAN)
+        surfaces = ()
+        if i % 2 == 0:
+            slopes = rng.sample(sorted(boundary, key=lambda s: s.sort_key()), min(len(boundary), 2 + i % 3))
+            surfaces = tuple(
+                SurfaceData(s, -rng.randint(1, 12), rng.randint(1, 3), ideal_point=rng.random() < 0.7)
+                for s in slopes
+            )
+        yield ManifoldData(f"ref-{i}", BoundarySlopeSet(tuple(boundary)), lattice, norm, surfaces)
+
+
+def test_standard_reports_match_fraction_formulas():
+    seen = {}
+    for m in reference_documents(200, 62):
+        for rep in standard_reports(m):
+            want = fraction_report(m, rep.statement)
+            if want is not None:
+                assert rep == want, m
+                kind = (rep.statement.partition("(")[0], rep.status)
+                seen[kind] = seen.get(kind, 0) + 1
+    for kind in [("thm1", HOLDS), ("thm1", FAILS), ("thm3", HOLDS), ("cor-ubdiam", EQUALITY),
+                 ("cor-ubdiam", HOLDS), ("prop-norm", EQUALITY), ("prop-norm", HOLDS),
+                 ("cor-euler", HOLDS), ("cor-euler", FAILS)]:
+        assert seen.get(kind, 0) >= 5, (kind, seen)
