@@ -15,8 +15,8 @@ import math
 import re
 import sys
 
-from .families import fig8_dataset, pretzel_dataset, twobridge_dataset
-from .manifold import ManifoldData, ManifoldFormatError, load, save, to_document
+from . import families
+from .manifold import ManifoldData, load, save, to_document
 from .slopes import Slope, distance
 from .verify import (
     VerifyReport,
@@ -42,25 +42,30 @@ __all__ = ["run", "main"]
 
 _SLOPE_ARG = re.compile(r"-\d+(?:/\d+)?")
 
-VERIFY_STATEMENTS = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "prop-length",
-    "prop-norm",
-    "prop4",
-    "prop6",
-    "cor-ubdiam",
-    "cor-euler",
-    "all",
-)
+# each verify statement and the number of -r slopes it reads (None: any, 0: none)
+STATEMENT_SLOPES = {
+    "thm1": None,
+    "thm2": 2,
+    "thm3": None,
+    "prop-length": 2,
+    "prop-norm": 2,
+    "prop4": 0,
+    "prop6": 0,
+    "cor-ubdiam": 0,
+    "cor-euler": 0,
+    "all": 0,
+}
+VERIFY_STATEMENTS = tuple(STATEMENT_SLOPES)
 
-# statements that read -r, with the number of slopes each takes (None: any)
-SLOPE_COUNTS = {"thm1": None, "thm2": 2, "thm3": None, "prop-length": 2, "prop-norm": 2}
-
-
-class _UsageError(Exception):
-    pass
+# each family kind: its builder in .families and the one option it reads, if
+# any; a builder is looked up when called, so that a wrapper installed on
+# .families (as benchmarks/tracing.py installs one) is the one that runs
+FAMILIES = {
+    "fig8": ("fig8_dataset", None),
+    "pretzel": ("pretzel_dataset", "n"),
+    "twobridge": ("twobridge_dataset", "crossings"),
+}
+FAMILY_OPTIONS = {"n": "K", "crossings": "C"}  # option -> metavar
 
 
 def _merge_slope_flags(argv: list[str]) -> list[str]:
@@ -96,12 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="print an exact value")
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("quantity", choices=["length", "norm", "distance"])
     p_eval.add_argument("-m", "--manifold", metavar="PATH")
     p_eval.add_argument("-r", "--slope", action="append", default=[], metavar="P/Q")
     p_eval.add_argument("--format", choices=["text", "json"], default="text")
 
     p_verify = sub.add_parser("verify", help="run a verification report")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("statement", choices=VERIFY_STATEMENTS)
     p_verify.add_argument("-m", "--manifold", required=True, metavar="PATH")
     p_verify.add_argument("-r", "--slope", action="append", default=[], metavar="P/Q")
@@ -109,17 +116,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
 
     p_family = sub.add_parser("family", help="emit a built-in dataset")
-    p_family.add_argument("which", choices=["fig8", "pretzel", "twobridge"])
-    p_family.add_argument("--n", type=int, metavar="K")
-    p_family.add_argument("--crossings", type=int, metavar="C")
+    p_family.set_defaults(handler=_cmd_family)
+    p_family.add_argument("which", choices=FAMILIES)
+    for option, metavar in FAMILY_OPTIONS.items():
+        p_family.add_argument(f"--{option}", type=int, metavar=metavar)
     p_family.add_argument("--out", metavar="PATH")
 
     p_plot = sub.add_parser("plot", help="write a static SVG figure")
+    p_plot.set_defaults(handler=_cmd_plot)
     p_plot.add_argument("what", choices=["unit-ball"])
     p_plot.add_argument("-m", "--manifold", required=True, metavar="PATH")
     p_plot.add_argument("--out", required=True, metavar="FILE.svg")
 
     p_report = sub.add_parser("report", help="summarize every check on a manifold")
+    p_report.set_defaults(handler=_cmd_report)
     p_report.add_argument("-m", "--manifold", required=True, metavar="PATH")
     p_report.add_argument("--range", type=_positive_int, dest="sweep", metavar="N")
     p_report.add_argument("--format", choices=["text", "json"], default="text")
@@ -127,17 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_slopes(texts: list[str], want: int | None = None) -> list[Slope]:
+def _parse_slopes(texts: list[str], want: int | None) -> list[Slope]:
     slopes = [Slope.parse(t) for t in texts]
     if want is not None and len(slopes) != want:
-        raise _UsageError(f"expected {want} slope argument(s), got {len(slopes)}")
+        raise ValueError(f"expected {want} slope argument(s), got {len(slopes)}")
     return slopes
-
-
-def _load_manifold(path: str | None) -> ManifoldData:
-    if path is None:
-        raise _UsageError("a manifold file is required (-m/--manifold)")
-    return load(path)
 
 
 def _emit_reports(reports: list[VerifyReport], fmt: str) -> int:
@@ -154,44 +158,44 @@ def _emit_reports(reports: list[VerifyReport], fmt: str) -> int:
 
 def _cmd_eval(args) -> int:
     if args.quantity == "distance":
+        if args.manifold is not None:
+            raise ValueError("distance takes no -m/--manifold")
         r, s = _parse_slopes(args.slope, 2)
-        value = distance(r, s)
-        payload = {"quantity": "distance", "slopes": [str(r), str(s)], "value": str(value)}
-        print(json.dumps(payload, sort_keys=True) if args.format == "json" else value)
-        return 0
-    m = _load_manifold(args.manifold)
-    (r,) = _parse_slopes(args.slope, 1)
-    if args.quantity == "norm":
-        if m.norm is None:
-            raise _UsageError("manifold has no norm data")
-        value = m.norm.evaluate(r)
-        payload = {"quantity": "norm", "slope": str(r), "value": str(value)}
-        print(json.dumps(payload, sort_keys=True) if args.format == "json" else value)
-        return 0
-    if m.cusp is None:
-        raise _UsageError("manifold has no cusp data")
-    sq = m.cusp.squared_length(r)
-    payload = {
-        "quantity": "squared_length",
-        "slope": str(r),
-        "value": str(sq),
-        "decimal_length": f"{math.sqrt(sq):.12g}",
-    }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        payload = {"quantity": "distance", "slopes": [str(r), str(s)], "value": str(distance(r, s))}
     else:
-        print(f"{sq} (length {math.sqrt(sq):.12g})")
+        if args.manifold is None:
+            raise ValueError("a manifold file is required (-m/--manifold)")
+        m = load(args.manifold)
+        (r,) = _parse_slopes(args.slope, 1)
+        if args.quantity == "norm":
+            if m.norm is None:
+                raise ValueError("manifold has no norm data")
+            payload = {"quantity": "norm", "slope": str(r), "value": str(m.norm.evaluate(r))}
+        else:
+            if m.cusp is None:
+                raise ValueError("manifold has no cusp data")
+            sq = m.cusp.squared_length(r)
+            payload = {
+                "quantity": "squared_length",
+                "slope": str(r),
+                "value": str(sq),
+                "decimal_length": f"{math.sqrt(sq):.12g}",
+            }
+    text = payload["value"]
+    if args.quantity == "length":
+        text += f" (length {payload['decimal_length']})"
+    print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
     return 0
 
 
 def _cmd_verify(args) -> int:
     stmt = args.statement
-    if args.slope and stmt not in SLOPE_COUNTS:
-        raise _UsageError(f"{stmt} takes no -r/--slope arguments")
+    if args.slope and STATEMENT_SLOPES[stmt] == 0:
+        raise ValueError(f"{stmt} takes no -r/--slope arguments")
     if args.sweep is not None and (stmt not in ("thm1", "all") or args.slope):
-        raise _UsageError("--range applies only to thm1 and all, without -r/--slope")
-    slopes = _parse_slopes(args.slope, SLOPE_COUNTS[stmt] if args.slope else None)
-    m = _load_manifold(args.manifold)
+        raise ValueError("--range applies only to thm1 and all, without -r/--slope")
+    slopes = _parse_slopes(args.slope, STATEMENT_SLOPES[stmt] if args.slope else None)
+    m = load(args.manifold)
     bset = m.boundary_slopes
 
     if stmt == "all":
@@ -207,41 +211,39 @@ def _cmd_verify(args) -> int:
         reports = [verify_thm_diam(m, r) for r in slopes or bset.finite]
     elif stmt == "prop-length":
         if m.cusp is None:
-            raise _UsageError("manifold has no cusp data")
+            raise ValueError("manifold has no cusp data")
         reports = [verify_prop_length(m.cusp, *(slopes or extremal_pair(bset)))]
     elif stmt == "prop-norm":
         if m.norm is None:
-            raise _UsageError("manifold has no norm data")
+            raise ValueError("manifold has no norm data")
         reports = [verify_prop_norm(m.norm, *(slopes or extremal_pair(bset)), bset)]
     elif stmt == "prop4":
         reports = [prop4_hypothesis(m)]
     elif stmt == "prop6":
         pairs = surface_pairs(m)
         if not pairs:
-            raise _UsageError("no surface pairs with distinct slopes")
+            raise ValueError("no surface pairs with distinct slopes")
         reports = [prop6_condition(s1, s2) for s1, s2 in pairs]
     elif stmt == "cor-ubdiam":
         reports = [verify_cor_ubdiam(m)]
     else:
         pairs = [(s1, s2) for s1, s2 in surface_pairs(m) if cor_euler_applies(s1, s2)]
         if not pairs:
-            raise _UsageError("no eligible surface pairs")
-        reports = [corollary_euler(s1.slope, s2.slope, s1, s2) for s1, s2 in pairs]
+            raise ValueError("no eligible surface pairs")
+        reports = [corollary_euler(s1, s2) for s1, s2 in pairs]
 
     return _emit_reports(reports, args.format)
 
 
 def _cmd_family(args) -> int:
-    if args.which == "fig8":
-        m = fig8_dataset()
-    elif args.which == "pretzel":
-        if args.n is None:
-            raise _UsageError("pretzel needs --n K")
-        m = pretzel_dataset(args.n)
-    else:
-        if args.crossings is None:
-            raise _UsageError("twobridge needs --crossings C")
-        m = twobridge_dataset(args.crossings)
+    builder, wanted = FAMILIES[args.which]
+    if wanted and getattr(args, wanted) is None:
+        raise ValueError(f"{args.which} needs --{wanted} {FAMILY_OPTIONS[wanted]}")
+    for option in FAMILY_OPTIONS:
+        if option != wanted and getattr(args, option) is not None:
+            raise ValueError(f"{args.which} takes no --{option}")
+    params = [getattr(args, wanted)] if wanted else []
+    m = getattr(families, builder)(*params)
     if args.out:
         save(m, args.out)
     else:
@@ -250,15 +252,15 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    m = _load_manifold(args.manifold)
+    m = load(args.manifold)
     if m.norm is None or m.cusp is None:
-        raise _UsageError("plot needs both norm and cusp data")
+        raise ValueError("plot needs both norm and cusp data")
     _write_unit_ball_svg(m, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
-    m = _load_manifold(args.manifold)
+    m = load(args.manifold)
     reports = standard_reports(m, sweep_range=args.sweep)
     if args.format == "json":
         return _emit_reports(reports, "json")
@@ -319,21 +321,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(_merge_slope_flags(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "eval": _cmd_eval,
-        "verify": _cmd_verify,
-        "family": _cmd_family,
-        "plot": _cmd_plot,
-        "report": _cmd_report,
-    }
     try:
-        return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ManifoldFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

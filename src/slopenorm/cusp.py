@@ -63,6 +63,8 @@ class CuspLattice:
     maximal: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.maximal, bool):
+            raise ValueError("cusp maximal flag must be a boolean")
         for name in ("g_mm", "g_ml", "g_ll"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         gram = (self.g_mm, self.g_ml, self.g_ll)

@@ -56,6 +56,9 @@ class SurfaceData:
             raise ValueError("boundary component count must be a positive integer")
         if not isinstance(self.euler, int) or isinstance(self.euler, bool):
             raise ValueError("Euler characteristic must be an integer")
+        for key in ("strict", "ideal_point"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"surface {key} flag must be a boolean")
 
 
 @dataclass(frozen=True)

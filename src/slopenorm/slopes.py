@@ -95,14 +95,11 @@ def distance(r: Slope, s: Slope) -> int:
     return abs(r.p * s.q - r.q * s.p)
 
 
-def enumerate_slopes(p_max: int, q_max: int, include_meridian: bool = True) -> Iterator[Slope]:
-    """All canonical slopes with |p| <= p_max and 1 <= q <= q_max.
-
-    The meridian, when included, comes first; finite slopes follow in
-    increasing q, then increasing p, so sweeps are reproducible.
-    """
-    if include_meridian:
-        yield MERIDIAN
+def enumerate_slopes(p_max: int, q_max: int) -> Iterator[Slope]:
+    """The meridian, then all canonical slopes with |p| <= p_max and
+    1 <= q <= q_max in increasing q, then increasing p, so sweeps are
+    reproducible."""
+    yield MERIDIAN
     for q in range(1, q_max + 1):
         for p in range(-p_max, p_max + 1):
             if math.gcd(abs(p), q) == 1:

@@ -95,14 +95,6 @@ class VerifyReport:
             "detail": self.detail,
         }
 
-    def line(self) -> str:
-        parts = [self.statement, self.status, self.lhs, self.relation, self.rhs]
-        if self.witnesses:
-            parts.append("witnesses=" + ",".join(self.witnesses))
-        if self.detail:
-            parts.append(self.detail)
-        return "\t".join(parts)
-
 
 # -- norm against length -----------------------------------------------------
 
@@ -162,12 +154,8 @@ def prop4_hypothesis(m: ManifoldData) -> VerifyReport:
     """Search for two ideal-point surfaces with distinct slopes satisfying
     distance(s1, s2) >= 2*(-euler_i)/b_i for both; first such pair wins."""
     stmt = "prop4"
-    candidates = sorted(
-        (s for s in m.surfaces if s.ideal_point and s.euler < 0),
-        key=lambda s: s.slope.sort_key(),
-    )
-    for s1, s2 in itertools.combinations(candidates, 2):
-        if s1.slope == s2.slope:
+    for s1, s2 in surface_pairs(m):
+        if not all(s.ideal_point and s.euler < 0 for s in (s1, s2)):
             continue
         d = distance(s1.slope, s2.slope)
         if all(d * s.b + 2 * s.euler >= 0 for s in (s1, s2)):
@@ -357,13 +345,10 @@ def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     )
 
 
-def corollary_euler(
-    r1: Slope, r2: Slope, s1: SurfaceData, s2: SurfaceData
-) -> VerifyReport:
+def corollary_euler(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
     """Check 6*((-e1)/(b1*q1) + (-e2)/(b2*q2)) > |r1 - r2| and its
-    distance-form twin, both exactly in rationals."""
-    if s1.slope != r1 or s2.slope != r2:
-        raise ValueError("slope mismatch")
+    distance-form twin, both exactly in rationals, where r_i is s_i's slope."""
+    r1, r2 = s1.slope, s2.slope
     _finite(r1, r2)
     if s1.euler >= 0 or s2.euler >= 0:
         raise ValueError("non-negative Euler characteristic")
@@ -467,7 +452,7 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
     for s1, s2 in surface_pairs(m):
         reports.append(prop6_condition(s1, s2))
         if cor_euler_applies(s1, s2):
-            reports.append(corollary_euler(s1.slope, s2.slope, s1, s2))
+            reports.append(corollary_euler(s1, s2))
 
     if m.cusp is not None:
         for s in sorted(m.surfaces, key=lambda s: s.slope.sort_key()):

@@ -111,6 +111,27 @@ def test_family_missing_parameter(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "fig8", "--n", "7"], "fig8 takes no --n"),
+        (["family", "fig8", "--crossings", "7"], "fig8 takes no --crossings"),
+        (["family", "pretzel", "--n", "7", "--crossings", "5"], "pretzel takes no --crossings"),
+        (["family", "twobridge", "--crossings", "5", "--n", "9"], "twobridge takes no --n"),
+        (["family", "pretzel", "--crossings", "5"], "pretzel needs --n K"),
+        (["family", "twobridge", "--n", "9"], "twobridge needs --crossings C"),
+        (["eval", "distance", "-m", "/nonexistent.json", "-r", "1/0", "-r", "0/1"], "distance takes no -m/--manifold"),
+    ],
+)
+def test_unread_options_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    for extra in ([], ["--out", str(out)]) if argv[0] == "family" else ([],):
+        assert run(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_plot_unit_ball(fig8_path, tmp_path, capsys):
     out = tmp_path / "ball.svg"
     assert run(["plot", "unit-ball", "-m", fig8_path, "--out", str(out)]) == 0

@@ -208,6 +208,31 @@ def test_flags_must_be_booleans(section, key, value):
         from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CuspLattice(1, 0, 12, maximal=1), "cusp maximal flag must be a boolean"),
+        (lambda: SurfaceData(Slope(4, 1), -1, 1, strict="no"), "surface strict flag must be a boolean"),
+        (lambda: SurfaceData(Slope(4, 1), -1, 1, ideal_point=None), "surface ideal_point flag must be a boolean"),
+    ],
+)
+def test_constructors_reject_flags_the_loader_rejects(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_boolean_flags_round_trip(tmp_path):
+    m = ManifoldData(
+        "flags",
+        BoundarySlopeSet((Slope(4, 1), Slope(-4, 1))),
+        cusp=CuspLattice(1, 0, 12, maximal=True),
+        surfaces=(SurfaceData(Slope(4, 1), -1, 1, strict=True, ideal_point=False),),
+    )
+    path = tmp_path / "flags.json"
+    save(m, path)
+    assert load(path) == m
+
+
 @pytest.mark.parametrize("certificate", [0, -12])
 def test_certificate_must_be_positive(certificate):
     doc = to_document(pretzel_dataset(7))
