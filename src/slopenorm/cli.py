@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import families
-from .manifold import ManifoldData, load, save, to_document
+from .manifold import ManifoldData, document_text, load, save
 from .slopes import Slope, distance
 from .verify import (
     VerifyReport,
@@ -138,7 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_slopes(texts: list[str], want: int | None) -> list[Slope]:
-    slopes = [Slope.parse(t) for t in texts]
+    slopes = []
+    for text in texts:
+        try:
+            slopes.append(Slope.parse(text))
+        except ValueError as exc:
+            raise ValueError(f"-r {text}: {exc}") from None
     if want is not None and len(slopes) != want:
         raise ValueError(f"expected {want} slope argument(s), got {len(slopes)}")
     return slopes
@@ -247,7 +252,7 @@ def _cmd_family(args) -> int:
     if args.out:
         save(m, args.out)
     else:
-        print(json.dumps(to_document(m), indent=2, sort_keys=True))
+        sys.stdout.write(document_text(m))
     return 0
 
 

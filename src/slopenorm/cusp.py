@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import Slope, distance
+from .slopes import Slope, _tie_key, distance
 
 __all__ = ["CuspLattice", "cmp_sqrt3"]
 
@@ -129,8 +129,7 @@ class CuspLattice:
 
         Runs Lagrange-Gauss reduction on the Gram matrix, then inspects the
         reduced basis vectors and their sum and difference, which between
-        them contain every minimal vector.  Ties are broken toward the
-        meridian, then smaller q, then smaller |p|, then positive p.
+        them contain every minimal vector.  Ties go by slopes._tie_key.
         """
         u, v = (1, 0), (0, 1)
         if self._qval(*u) > self._qval(*v):
@@ -145,11 +144,7 @@ class CuspLattice:
         best = self._qval(*u)
         candidates = [u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])]
         slopes = {Slope(*c) for c in candidates if self._qval(*c) == best}
-
-        def tie_key(s: Slope) -> tuple:
-            return (0 if s.is_meridian else 1, s.q, abs(s.p), 0 if s.p >= 0 else 1)
-
-        return Fraction(best, self._scaled[0]), min(slopes, key=tie_key)
+        return Fraction(best, self._scaled[0]), min(slopes, key=lambda s: _tie_key(s.p, s.q))
 
     # -- consistency checks -------------------------------------------------
 

@@ -10,17 +10,16 @@ through the crossing-number identities of their checkerboard surfaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cusp import CuspLattice
 from .manifold import ManifoldData, SurfaceData
 from .norm import BoundarySlopeSet, CSNormData
 from .slopes import Slope
-from .verify import HOLDS, FAILS, VerifyReport
+from .verify import HOLDS, FAILS, VerifyReport, _ratio
 
 __all__ = [
     "fig8_dataset",
     "pretzel_dataset",
+    "family_ratio_unbounded",
     "twobridge_pair",
     "twobridge_dataset",
 ]
@@ -36,14 +35,9 @@ def fig8_dataset() -> ManifoldData:
     return ManifoldData(
         name="figure-eight",
         boundary_slopes=BoundarySlopeSet((s_pos, s_neg)),
-        cusp=CuspLattice(Fraction(1), Fraction(0), Fraction(12), maximal=True),
+        cusp=CuspLattice(1, 0, 12, maximal=True),
         norm=CSNormData(((s_pos, 2), (s_neg, 2))),
     )
-
-
-def _check_pretzel_n(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 7 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 7")
 
 
 def _twobridge_split(crossings, chi1=None, chi2=None) -> tuple[int, int]:
@@ -73,7 +67,8 @@ def pretzel_dataset(n: int) -> ManifoldData:
     by 3 the certified meridian-norm value 3n - 9 is attached; the full
     weight data is not known, so no norm terms are stored.
     """
-    _check_pretzel_n(n)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 7 or n % 2 == 0:
+        raise ValueError("n must be an odd integer >= 7")
     s1, s2 = Slope(16, 1), Slope(2 * n + 6, 1)
     surfaces = (
         SurfaceData(slope=s1, euler=6 - n, b=1, strict=True, ideal_point=True),
@@ -84,6 +79,34 @@ def pretzel_dataset(n: int) -> ManifoldData:
         boundary_slopes=BoundarySlopeSet((s1, s2)),
         surfaces=surfaces,
         meridian_norm_certificate=3 * n - 9 if n % 3 != 0 else None,
+    )
+
+
+def family_ratio_unbounded(n_values) -> VerifyReport:
+    """Lower bounds certificate/6 on norm(m)/length(m) for the pretzel knots
+    whose documents carry a meridian-norm certificate, and whether they grow:
+    the meridian is at most 6 long on the maximal horotorus (6-theorem)."""
+    ns = sorted(set(n_values))
+    if not ns:
+        raise ValueError("no parameters given")
+    certificates = []
+    for n in ns:
+        try:
+            certificate = pretzel_dataset(n).meridian_norm_certificate
+        except ValueError:
+            certificate = None
+        if certificate is None:
+            raise ValueError(f"invalid n: {n} (need odd n >= 7 with n not divisible by 3)")
+        certificates.append(certificate)
+    increasing = all(x < y for x, y in zip(certificates, certificates[1:]))
+    bounds = [_ratio(c, 6) for c in certificates]
+    return VerifyReport(
+        "ratio-unbounded",
+        HOLDS if increasing else FAILS,
+        ", ".join(bounds),
+        "strictly increasing",
+        "is" if increasing else "is not",
+        witnesses=tuple(f"n={n}: {b}" for n, b in zip(ns, bounds)),
     )
 
 

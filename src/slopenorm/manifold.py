@@ -24,6 +24,7 @@ __all__ = [
     "ManifoldFormatError",
     "load",
     "save",
+    "document_text",
     "to_document",
     "from_document",
 ]
@@ -315,8 +316,13 @@ def load(path) -> ManifoldData:
     return from_document(doc)
 
 
+def document_text(m: ManifoldData) -> str:
+    """The document as JSON text with sorted keys; equal inputs, equal text."""
+    return json.dumps(to_document(m), indent=2, sort_keys=True) + "\n"
+
+
 def save(m: ManifoldData, path) -> None:
-    """Write the document form with sorted keys; equal inputs give equal bytes."""
-    text = json.dumps(to_document(m), indent=2, sort_keys=True) + "\n"
+    """Write document_text(m) to path."""
+    text = document_text(m)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

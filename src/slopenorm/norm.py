@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .slopes import Slope, _value_key
+from .slopes import Slope, _tie_key, _value_key
 
 __all__ = ["CSNormData", "BoundarySlopeSet"]
 
@@ -75,11 +75,6 @@ class CSNormData:
             n += a * abs(t * q - u * p)
         return n
 
-    def evaluate_real(self, x, y) -> Fraction:
-        """Norm of the real class x*m + y*l; homogeneous of degree 1."""
-        x, y = Fraction(x), Fraction(y)
-        return sum((a * abs(x * s.q - y * s.p) for s, a in self.terms), Fraction(0))
-
     def meridian_norm(self) -> int:
         """Norm of the meridian: the weighted sum of term denominators."""
         return self._meridian_norm
@@ -120,20 +115,16 @@ class CSNormData:
 
         Any slope beating the running minimum m lies inside m times the unit
         ball, so the search is confined to the bounding box of that polygon.
-        Ties go to the smallest q, then smallest |p|, then positive p.
+        Ties go by slopes._tie_key.
         """
         starts = [(0, 1)] + [(t, u) for _, t, u in self._terms if u]
         best = min(self._search_key(p, q) for p, q in starts)
         p_max, q_max = self._search_box(best[0])
         for q in range(1, q_max + 1):
             for p in range(-p_max, p_max + 1):
-                if math.gcd(abs(p), q) != 1:
-                    continue
-                val = self._direction_norm(p, q)
-                key = (val, q, abs(p), 0 if p >= 0 else 1, p, q)
-                if key < best:
-                    best = key
-        return best[0], Slope(best[4], best[5])
+                if math.gcd(abs(p), q) == 1 and self._direction_norm(p, q) <= best[0]:
+                    best = min(best, self._search_key(p, q))
+        return best[0], Slope(*best[2])
 
     def _search_box(self, bound: int) -> tuple[int, int]:
         # integer bounding box of bound * unit ball: its vertices are the
@@ -142,7 +133,7 @@ class CSNormData:
         return max(bound * abs(t) // n for t, _, n in norms), max(bound * u // n for _, u, n in norms)
 
     def _search_key(self, p: int, q: int) -> tuple:
-        return (self._direction_norm(p, q), q, abs(p), 0 if p >= 0 else 1, p, q)
+        return self._direction_norm(p, q), _tie_key(p, q), (p, q)
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,6 @@ class Slope:
             raise ValueError("infinite slope")
         return Fraction(self.p, self.q)
 
-    def sort_key(self) -> tuple:
-        """Deterministic ordering: finite slopes by value, meridian last."""
-        if self.q == 0:
-            return (1, Fraction(0))
-        return (0, Fraction(self.p, self.q))
-
     @classmethod
     def parse(cls, text: str) -> "Slope":
         """Parse "p/q" with an optional sign on p; a bare integer means p/1."""
@@ -80,10 +74,16 @@ class Slope:
 
 
 def _value_key(slopes):
-    """A sort key ordering the given slopes as Slope.sort_key does, in
+    """The sort key ordering the given slopes by value, the meridian last, in
     integers: over the lcm L of their finite denominators, p/q is p*(L//q)."""
     scale = math.lcm(*(s.q for s in slopes if s.q))
     return lambda s: (1, 0) if s.q == 0 else (0, s.p * (scale // s.q))
+
+
+def _tie_key(p: int, q: int) -> tuple:
+    """The tie-break among slopes equal in some measure: smaller q (the
+    meridian first), then smaller |p|, then positive p."""
+    return q, abs(p), p < 0
 
 
 MERIDIAN = Slope(1, 0)

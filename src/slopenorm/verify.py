@@ -2,8 +2,8 @@
 boundary-slope norm, and the boundary-slope diameter together.
 
 Each checker returns a VerifyReport carrying exact left/right values and a
-status; every decision reduces to integer or rational sign tests, or to the
-exact square-root comparator, so there is no epsilon anywhere.  Decimal
+status; every decision reduces to integer sign tests, or to the exact
+square-root comparator on integers, so there is no epsilon anywhere.  Decimal
 renderings appear only in detail strings, with 12 significant digits.
 """
 
@@ -12,20 +12,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counting import count_negative
 from .cusp import CuspLattice, cmp_sqrt3
 from .manifold import ManifoldData, SurfaceData
 from .norm import BoundarySlopeSet, CSNormData
-from .slopes import MERIDIAN, Slope, distance
+from .slopes import MERIDIAN, Slope, _value_key, distance
 
 __all__ = [
     "HOLDS", "EQUALITY", "FAILS", "NOT_APPLICABLE", "VerifyReport",
     "verify_norm_ge_length", "sweep_norm_vs_length", "prop4_hypothesis",
     "prop6_condition", "verify_prop_length", "verify_prop_norm",
     "verify_thm_length_norm", "verify_thm_diam", "verify_cor_ubdiam", "corollary_euler",
-    "family_ratio_unbounded", "standard_reports", "thm1_slopes", "extremal_pair",
+    "standard_reports", "thm1_slopes", "extremal_pair",
     "integral_extremal_pair", "surface_pairs", "cor_euler_applies",
 ]
 
@@ -35,8 +34,9 @@ FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 
-def _dec(x) -> str:
-    return f"{float(x):.12g}"
+def _dec(den: int, *nums: int) -> str:
+    # sqrt(n1/den) + sqrt(n2/den) + ... in 12 significant digits, for display
+    return f"{sum(math.sqrt(n / den) for n in nums):.12g}"
 
 
 def _ratio(n: int, d: int) -> str:
@@ -131,13 +131,10 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
     scale, a, b, c = m.cusp._scaled
     nine_l = 9 * scale
-    pieces = []  # those where F = alpha*p^2 + 2*beta*p*q + gamma*q^2 can be negative
-    for lower, upper, big_a, big_b in m.norm.linear_pieces():
-        alpha = nine_l * big_a * big_a - 4 * a
-        beta = nine_l * big_a * big_b - 4 * b
-        gamma = nine_l * big_b * big_b - 4 * c
-        if alpha < 0 or gamma < 0 or beta * beta > alpha * gamma:
-            pieces.append((lower, upper, alpha, beta, gamma))
+    pieces = [  # F = alpha*p^2 + 2*beta*p*q + gamma*q^2 per piece
+        (lower, upper, nine_l * big_a * big_a - 4 * a, nine_l * big_a * big_b - 4 * b, nine_l * big_b * big_b - 4 * c)
+        for lower, upper, big_a, big_b in m.norm.linear_pieces()
+    ]
     failed, total, first = count_negative(pieces, limit)
     witness = Slope(*first) if first else None
     if nine_l * m.norm.meridian_norm() ** 2 < 4 * a:
@@ -191,11 +188,14 @@ def prop6_condition(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
 # -- triangle-type bounds on numerical slopes ---------------------------------
 
 
-def _length_radicands(lattice: CuspLattice, r1: Slope, r2: Slope) -> tuple[Fraction, Fraction, Fraction]:
-    """len^2(r1)/q1^2, len^2(r2)/q2^2 and (r1 - r2)^2 for two finite slopes."""
+def _length_radicands(lattice: CuspLattice, r1: Slope, r2: Slope) -> tuple[int, int, int, int]:
+    """len^2(r1)/q1^2, len^2(r2)/q2^2 and (r1 - r2)^2 for two finite slopes,
+    as integer numerators over one denominator L*q1^2*q2^2 (L the lattice's
+    scale), and that denominator."""
     _finite(r1, r2)
-    a, b = (Fraction(lattice._qval(r.p, r.q), lattice._scaled[0] * r.q * r.q) for r in (r1, r2))
-    return a, b, Fraction(distance(r1, r2) ** 2, (r1.q * r2.q) ** 2)
+    scale, q1, q2 = lattice._scaled[0], r1.q * r1.q, r2.q * r2.q
+    a, b = lattice._qval(r1.p, r1.q) * q2, lattice._qval(r2.p, r2.q) * q1
+    return a, b, distance(r1, r2) ** 2 * scale, scale * q1 * q2
 
 
 def _bracketing_gap(slopes: BoundarySlopeSet, r1: Slope, r2: Slope) -> tuple[Slope, str] | None:
@@ -216,16 +216,16 @@ def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyRepo
     the lattice is flagged maximal, the weaker unit-meridian form with right
     side |r1 - r2| is reported as well.
     """
-    a, b, diff2 = _length_radicands(lattice, r1, r2)
+    a, b, diff2, den = _length_radicands(lattice, r1, r2)
     stmt = f"prop-length({r1}, {r2})"
-    c = diff2 * lattice.g_mm
+    c = distance(r1, r2) ** 2 * lattice._scaled[1]  # (r1 - r2)^2 * g_mm over den
     status, rel = _classify(cmp_sqrt3(a, b, c), 0)
-    detail = f"decimals: {_dec(math.sqrt(a) + math.sqrt(b))} vs {_dec(math.sqrt(c))}"
+    detail = f"decimals: {_dec(den, a, b)} vs {_dec(den, c)}"
     if lattice.maximal:
         unit_sign = cmp_sqrt3(a, b, diff2)
         detail += f"; unit-meridian form (rhs |r1 - r2|): {'holds' if unit_sign > 0 else 'fails'}"
     return VerifyReport(
-        stmt, status, f"sqrt({a}) + sqrt({b})", f"sqrt({c})", rel,
+        stmt, status, f"sqrt({_ratio(a, den)}) + sqrt({_ratio(b, den)})", f"sqrt({_ratio(c, den)})", rel,
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -271,7 +271,7 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
     gap = _bracketing_gap(m.boundary_slopes, r1, r2)
     if gap:
         return VerifyReport(stmt, NOT_APPLICABLE, witnesses=(str(gap[0]),), detail=gap[1])
-    a, b, c = _length_radicands(m.cusp, r1, r2)
+    a, b, c, den = _length_radicands(m.cusp, r1, r2)
     sign = cmp_sqrt3(a, b, c)
     norm_report = verify_prop_norm(m.norm, r1, r2, m.boundary_slopes)
     norm_ok = norm_report.status == EQUALITY or (
@@ -279,18 +279,17 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
     )
     status = HOLDS if sign > 0 and norm_ok else FAILS
     detail = (
-        f"length side {_dec(math.sqrt(a) + math.sqrt(b))}, "
+        f"length side {_dec(den, a, b)}, "
         f"norm side {norm_report.lhs} ({norm_report.status})"
     )
     if r1.q == 1 and r2.q == 1:
-        n1, n2 = m.norm.evaluate(r1), m.norm.evaluate(r2)
-        nm = m.norm.meridian_norm()
+        n1, n2, nm = m.norm.evaluate(r1), m.norm.evaluate(r2), m.norm.meridian_norm()
         detail += (
             f"; integral form: len({r1}) + len({r2}) > "
             f"(norm {n1} + norm {n2}) / norm(m) {nm} = {_ratio(n1 + n2, nm)}"
         )
     return VerifyReport(
-        stmt, status, f"sqrt({a}) + sqrt({b})", norm_report.rhs, ">",
+        stmt, status, f"sqrt({_ratio(a, den)}) + sqrt({_ratio(b, den)})", norm_report.rhs, ">",
         witnesses=(str(r1), str(r2)),
         detail=detail,
     )
@@ -363,36 +362,12 @@ def corollary_euler(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
     )
 
 
-def family_ratio_unbounded(n_values) -> VerifyReport:
-    """Certified lower bounds (3n - 9)/6 on norm(m)/length(m) for the odd
-    pretzel parameters n not divisible by 3; the bounds grow without bound."""
-    ns = sorted(set(n_values))
-    if not ns:
-        raise ValueError("no parameters given")
-    for n in ns:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 7 or n % 2 == 0 or n % 3 == 0:
-            raise ValueError(f"invalid n: {n} (need odd n >= 7 with n not divisible by 3)")
-    bounds = [Fraction(3 * n - 9, 6) for n in ns]
-    increasing = all(x < y for x, y in zip(bounds, bounds[1:]))
-    return VerifyReport(
-        "ratio-unbounded",
-        HOLDS if increasing else FAILS,
-        ", ".join(str(b) for b in bounds),
-        "strictly increasing",
-        "is" if increasing else "is not",
-        witnesses=tuple(f"n={n}: {b}" for n, b in zip(ns, bounds)),
-    )
-
-
 # -- default slope and pair choices ----------------------------------------------
 
 
 def thm1_slopes(m: ManifoldData) -> list[Slope]:
     """The boundary slopes in order, then the meridian unless it is one."""
-    checked = list(m.boundary_slopes)
-    if MERIDIAN not in m.boundary_slopes:
-        checked.append(MERIDIAN)
-    return checked
+    return [*m.boundary_slopes.finite, MERIDIAN]  # the meridian sorts last
 
 
 def extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
@@ -410,10 +385,14 @@ def integral_extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
     return Slope(-(-top.p // top.q), 1), Slope(bot.p // bot.q, 1)
 
 
+def _surfaces_by_slope(m: ManifoldData) -> list[SurfaceData]:
+    key = _value_key([s.slope for s in m.surfaces])
+    return sorted(m.surfaces, key=lambda s: key(s.slope))
+
+
 def surface_pairs(m: ManifoldData) -> list[tuple[SurfaceData, SurfaceData]]:
     """Surface pairs with distinct slopes, in slope order within and across pairs."""
-    surfaces = sorted(m.surfaces, key=lambda s: s.slope.sort_key())
-    return [(s1, s2) for s1, s2 in itertools.combinations(surfaces, 2) if s1.slope != s2.slope]
+    return [(s1, s2) for s1, s2 in itertools.combinations(_surfaces_by_slope(m), 2) if s1.slope != s2.slope]
 
 
 def cor_euler_applies(s1: SurfaceData, s2: SurfaceData) -> bool:
@@ -455,7 +434,7 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
             reports.append(corollary_euler(s1, s2))
 
     if m.cusp is not None:
-        for s in sorted(m.surfaces, key=lambda s: s.slope.sort_key()):
+        for s in _surfaces_by_slope(m):
             if s.euler < 0:
                 ok = m.cusp.agol_check(s)
                 lhs = _ratio(m.cusp._qval(s.slope.p, s.slope.q) * s.b * s.b, m.cusp._scaled[0])

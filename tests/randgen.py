@@ -11,6 +11,11 @@ from fractions import Fraction
 from slopenorm import CSNormData, CuspLattice, Slope
 
 
+def value_order(s: Slope) -> tuple:
+    """Reference sort key in Fractions: finite slopes by value, the meridian last."""
+    return (1, Fraction(0)) if s.is_meridian else (0, Fraction(s.p, s.q))
+
+
 def random_slope(rng: random.Random, p_max: int = 50, q_max: int = 50, finite: bool = False) -> Slope:
     while True:
         p = rng.randint(-p_max, p_max)
@@ -81,4 +86,4 @@ def random_norm_data(
     slopes: set[Slope] = set()
     while len(slopes) < n_terms:
         slopes.add(random_slope(rng, t_max, u_max, finite=True))
-    return CSNormData(tuple((s, rng.choice(weights)) for s in sorted(slopes, key=lambda s: s.sort_key())))
+    return CSNormData(tuple((s, rng.choice(weights)) for s in sorted(slopes, key=value_order)))

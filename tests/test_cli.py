@@ -106,6 +106,16 @@ def test_family_twobridge(capsys):
     assert doc["boundary_slopes"] == ["0/1", "12/1"]
 
 
+@pytest.mark.parametrize("argv", [["fig8"], ["pretzel", "--n", "13"], ["twobridge", "--crossings", "9"]])
+def test_family_stdout_matches_out_file(tmp_path, capsys, argv):
+    assert run(["family", *argv]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "family.json"
+    assert run(["family", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
 def test_family_missing_parameter(capsys):
     assert run(["family", "pretzel"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -166,6 +176,15 @@ def test_data_error_single_line(tmp_path, capsys):
     assert run(["verify", "thm1", "-m", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "not primitive" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["eval", "distance"], ["verify", "thm1", "-m", "FIG8"]])
+@pytest.mark.parametrize("bad, reason", [("2/4", "not primitive"), ("-2/4", "not primitive"), ("x", "not a slope: 'x'")])
+def test_bad_slope_argument_named(fig8_path, capsys, command, bad, reason):
+    argv = [fig8_path if arg == "FIG8" else arg for arg in command]
+    assert run(argv + ["-r", "1/0", "-r", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: -r {bad}: {reason}\n"
 
 
 def test_exit_code_on_failing_check(tmp_path, capsys):

@@ -11,7 +11,7 @@ from slopenorm import (
     enumerate_slopes,
 )
 from slopenorm.slopes import _value_key
-from randgen import random_slope, random_slope_pair
+from randgen import random_slope, random_slope_pair, value_order
 
 
 def test_normalize_sign():
@@ -94,7 +94,7 @@ def test_parse_str_roundtrip():
 
 def test_sort_key_orders_by_value_meridian_last():
     slopes = [Slope(4, 1), MERIDIAN, Slope(-4, 1), Slope(1, 2)]
-    ordered = sorted(slopes, key=lambda s: s.sort_key())
+    ordered = sorted(slopes, key=_value_key(slopes))
     assert ordered == [Slope(-4, 1), Slope(1, 2), Slope(4, 1), MERIDIAN]
 
 
@@ -102,7 +102,7 @@ def test_value_key_orders_like_sort_key():
     rng = random.Random(15)
     for _ in range(300):
         slopes = [random_slope(rng, 40, 12) for _ in range(rng.randint(0, 8))]
-        assert sorted(slopes, key=_value_key(slopes)) == sorted(slopes, key=lambda s: s.sort_key())
+        assert sorted(slopes, key=_value_key(slopes)) == sorted(slopes, key=value_order)
     assert sorted([MERIDIAN], key=_value_key([MERIDIAN])) == [MERIDIAN]
 
 

@@ -19,6 +19,7 @@ from slopenorm import (
     Slope,
     SurfaceData,
     VerifyReport,
+    cmp_sqrt3,
     corollary_euler,
     distance,
     enumerate_slopes,
@@ -38,7 +39,7 @@ from slopenorm import (
     verify_thm_length_norm,
 )
 from slopenorm.verify import _ratio
-from randgen import random_lattice, random_norm_data, random_slope_pair
+from randgen import random_lattice, random_norm_data, random_slope_pair, value_order
 
 FIG8 = fig8_dataset()
 
@@ -601,9 +602,47 @@ def fraction_cor_euler(m, r1, r2):
     )
 
 
+def fraction_radicands(m, r1, r2):
+    a, b = (m.cusp.squared_length(r) / (r.q * r.q) for r in (r1, r2))
+    return a, b, (r1.value() - r2.value()) ** 2
+
+
+def fraction_prop_length(m, r1, r2):
+    a, b, diff2 = fraction_radicands(m, r1, r2)
+    c = diff2 * m.cusp.g_mm
+    status, rel = fraction_classify(cmp_sqrt3(a, b, c), 0)
+    detail = f"decimals: {math.sqrt(a) + math.sqrt(b):.12g} vs {math.sqrt(c):.12g}"
+    if m.cusp.maximal:
+        detail += f"; unit-meridian form (rhs |r1 - r2|): {'holds' if cmp_sqrt3(a, b, diff2) > 0 else 'fails'}"
+    return VerifyReport(
+        f"prop-length({r1}, {r2})", status, f"sqrt({a}) + sqrt({b})", f"sqrt({c})", rel, (str(r1), str(r2)), detail,
+    )
+
+
+def fraction_thm2(m, r1, r2):
+    # standard_reports checks thm2 only on a pair bracketing every boundary slope
+    a, b, c = fraction_radicands(m, r1, r2)
+    norm_report = fraction_prop_norm(m, r1, r2)
+    meridional = any(s.is_meridian for s in m.norm.support)
+    norm_ok = norm_report.status == EQUALITY or (meridional and norm_report.status == HOLDS)
+    status = HOLDS if cmp_sqrt3(a, b, c) > 0 and norm_ok else FAILS
+    detail = f"length side {math.sqrt(a) + math.sqrt(b):.12g}, norm side {norm_report.lhs} ({norm_report.status})"
+    if r1.q == 1 and r2.q == 1:
+        n1, n2, nm = m.norm.evaluate(r1), m.norm.evaluate(r2), m.norm.evaluate(MERIDIAN)
+        detail += (
+            f"; integral form: len({r1}) + len({r2}) > "
+            f"(norm {n1} + norm {n2}) / norm(m) {nm} = {Fraction(n1 + n2, nm)}"
+        )
+    return VerifyReport(
+        f"thm2({r1}, {r2})", status, f"sqrt({a}) + sqrt({b})", norm_report.rhs, ">", (str(r1), str(r2)), detail,
+    )
+
+
 FRACTION_FORMULAS = {
     "thm1": fraction_thm1,
+    "thm2": fraction_thm2,
     "thm3": fraction_thm3,
+    "prop-length": fraction_prop_length,
     "prop-norm": fraction_prop_norm,
     "cor-euler": fraction_cor_euler,
 }
@@ -611,7 +650,8 @@ FRACTION_FORMULAS = {
 
 def fraction_report(m, statement):
     """The report the Fraction formulas give for a statement, or None when
-    the statement is not one of thm1, thm3, cor-ubdiam, prop-norm, cor-euler."""
+    the statement is not one of thm1, thm2, thm3, cor-ubdiam, prop-length,
+    prop-norm, cor-euler."""
     if statement == "cor-ubdiam":
         return fraction_cor_ubdiam(m)
     name, _, args = statement.partition("(")
@@ -643,7 +683,7 @@ def reference_documents(count, seed):
             boundary.add(MERIDIAN)
         surfaces = ()
         if i % 2 == 0:
-            slopes = rng.sample(sorted(boundary, key=lambda s: s.sort_key()), min(len(boundary), 2 + i % 3))
+            slopes = rng.sample(sorted(boundary, key=value_order), min(len(boundary), 2 + i % 3))
             surfaces = tuple(
                 SurfaceData(s, -rng.randint(1, 12), rng.randint(1, 3), ideal_point=rng.random() < 0.7)
                 for s in slopes
@@ -660,7 +700,8 @@ def test_standard_reports_match_fraction_formulas():
                 assert rep == want, m
                 kind = (rep.statement.partition("(")[0], rep.status)
                 seen[kind] = seen.get(kind, 0) + 1
-    for kind in [("thm1", HOLDS), ("thm1", FAILS), ("thm3", HOLDS), ("cor-ubdiam", EQUALITY),
+    for kind in [("thm1", HOLDS), ("thm1", FAILS), ("thm2", HOLDS), ("thm3", HOLDS), ("prop-length", HOLDS),
+                 ("cor-ubdiam", EQUALITY),
                  ("cor-ubdiam", HOLDS), ("prop-norm", EQUALITY), ("prop-norm", HOLDS),
                  ("cor-euler", HOLDS), ("cor-euler", FAILS)]:
         assert seen.get(kind, 0) >= 5, (kind, seen)
