@@ -30,6 +30,13 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
     for i in range(2, math.isqrt(max(limit, 0)) + 1):
         if factor[i] == i:
             factor[i * i :: i] = [i] * len(range(i * i, limit + 1, i))
+    # each side as an integer pair; an unbounded side as one past the box,
+    # -limit/1 below and (limit + 1)/1 above, which every row clips to the box
+    sides = []
+    for lower, upper, alpha, beta, gamma in pieces:
+        lower_p, lower_q = (-limit, 1) if lower is None else (lower.p, lower.q)
+        upper_p, upper_q = (limit + 1, 1) if upper is None else (upper.p, upper.q)
+        sides.append((lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma))
     negative = total = 0
     first = None
     for q in range(1, limit + 1):
@@ -41,9 +48,11 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
                 n //= prime
             divisors += [(d * prime, -mu) for d, mu in divisors]
         total += _count_coprime(divisors, -limit, limit)
-        for lower, upper, alpha, beta, gamma in pieces:
-            lo = -limit if lower is None else max(-limit, -(-q * lower.p // lower.q))
-            hi = limit if upper is None else min(limit, -(-q * upper.p // upper.q) - 1)
+        for lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma in sides:
+            lo = max(-limit, -(-q * lower_p // lower_q))
+            hi = min(limit, -(-q * upper_p // upper_q) - 1)
+            if lo > hi:
+                continue
             for x, y in _negative_runs(alpha, q * beta, q * q * gamma, lo, hi):
                 count = _count_coprime(divisors, x, y)
                 negative += count
@@ -69,25 +78,29 @@ def _negative_runs(alpha: int, beta: int, gamma: int, lo: int, hi: int) -> list[
     """
     if alpha == 0:
         if beta == 0:
-            runs = [(lo, hi)] if gamma < 0 else []
-        elif beta > 0:
-            runs = [(lo, (-gamma - 1) // (2 * beta))]
-        else:
-            runs = [(gamma // (-2 * beta) + 1, hi)]
-    else:
-        disc = beta * beta - alpha * gamma
-        if alpha > 0:
-            if disc <= 0:
-                return []
-            s = math.isqrt(disc)
-            s -= s * s == disc
-            # |alpha*p + beta| <= s
-            runs = [(-((s + beta) // alpha), (s - beta) // alpha)]
-        elif disc < 0:
-            runs = [(lo, hi)]
-        else:
-            s = math.isqrt(disc) + 1
-            # |alpha*p + beta| >= s, with alpha < 0
-            runs = [(lo, (s - beta) // alpha), (-((s + beta) // alpha), hi)]
-    clipped = [(max(x, lo), min(y, hi)) for x, y in runs]
-    return [(x, y) for x, y in clipped if x <= y]
+            return [(lo, hi)] if gamma < 0 and lo <= hi else []
+        if beta > 0:
+            y = min(hi, (-gamma - 1) // (2 * beta))
+            return [(lo, y)] if lo <= y else []
+        x = max(lo, gamma // (-2 * beta) + 1)
+        return [(x, hi)] if x <= hi else []
+    disc = beta * beta - alpha * gamma
+    if alpha > 0:
+        if disc <= 0:
+            return []
+        s = math.isqrt(disc)
+        s -= s * s == disc
+        # |alpha*p + beta| <= s
+        x = max(lo, -((s + beta) // alpha))
+        y = min(hi, (s - beta) // alpha)
+        return [(x, y)] if x <= y else []
+    if disc < 0:
+        return [(lo, hi)] if lo <= hi else []
+    s = math.isqrt(disc) + 1
+    # |alpha*p + beta| >= s, with alpha < 0
+    y = min(hi, (s - beta) // alpha)
+    x = max(lo, -((s + beta) // alpha))
+    runs = [(lo, y)] if lo <= y else []
+    if x <= hi:
+        runs.append((x, hi))
+    return runs

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cusp import CuspLattice
 from .norm import BoundarySlopeSet, CSNormData, is_norm_weight
@@ -76,7 +77,7 @@ class ManifoldData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         problems = _consistency_problems(
-            self.boundary_slopes, self.norm, self.surfaces, self.meridian_norm_certificate
+            self.name, self.boundary_slopes, self.norm, self.surfaces, self.meridian_norm_certificate
         )
         if problems:
             raise _Inconsistent(problems)
@@ -89,10 +90,11 @@ class _Inconsistent(ValueError):
         super().__init__("; ".join(problems))
 
 
-def _consistency_problems(bset, norm, surfaces, certificate) -> list[str]:
-    """Invariants tying the parts of a ManifoldData together: the meridian
-    norm certificate, and boundary-slope membership (skipped without a set)."""
-    problems = []
+def _consistency_problems(name, bset, norm, surfaces, certificate) -> list[str]:
+    """Invariants of a ManifoldData beyond its parts' own: a non-empty string
+    name, the meridian norm certificate, and boundary-slope membership
+    (skipped without a set)."""
+    problems = [] if isinstance(name, str) and name else ["missing or empty name"]
     if certificate is not None:
         if not isinstance(certificate, int) or isinstance(certificate, bool):
             problems.append("meridian_norm_certificate must be an integer")
@@ -217,15 +219,12 @@ def from_document(doc) -> ManifoldData:
     """Build a validated ManifoldData from a parsed JSON document.
 
     Rejection is total: every violated invariant is collected and reported
-    in one ManifoldFormatError, and no partial object escapes.
+    in one ManifoldFormatError, the consistency problems (a bad name first)
+    before the parse problems, and no partial object escapes.
     """
     if not isinstance(doc, dict):
         raise ManifoldFormatError(["document must be a JSON object"])
     problems: list[str] = []
-
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        problems.append("missing or empty name")
 
     slopes = []
     raw_slopes = doc.get("boundary_slopes")
@@ -249,9 +248,10 @@ def from_document(doc) -> ManifoldData:
     norm = _parse_norm(doc.get("culler_shalen"), problems)
     surfaces = _parse_surfaces(doc.get("surfaces"), problems)
 
+    name = doc.get("name")
     certificate = doc.get("meridian_norm_certificate")
     if problems:
-        raise ManifoldFormatError(problems + _consistency_problems(bset, norm, surfaces, certificate))
+        raise ManifoldFormatError(_consistency_problems(name, bset, norm, surfaces, certificate) + problems)
     try:  # ManifoldData checks the consistency problems, once
         return ManifoldData(name, bset, cusp, norm, surfaces, certificate)
     except _Inconsistent as exc:
@@ -318,7 +318,28 @@ def load(path) -> ManifoldData:
 
 def document_text(m: ManifoldData) -> str:
     """The document as JSON text with sorted keys; equal inputs, equal text."""
-    return json.dumps(to_document(m), indent=2, sort_keys=True) + "\n"
+    return _json_text(to_document(m), "") + "\n"
+
+
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the values a document
+    holds (objects, lists, strings, integers and booleans), without the
+    pure-Python encoder that indent selects; strings are quoted by the
+    function json.dumps itself quotes them with."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
+    if isinstance(value, list):
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+    raise TypeError(f"not a document value: {value!r}")
 
 
 def save(m: ManifoldData, path) -> None:

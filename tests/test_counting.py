@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 from slopenorm import Slope
 from slopenorm.counting import _count_coprime, _negative_runs, count_negative
@@ -40,3 +41,43 @@ def test_count_negative_pieces():
     assert negative == sum(bad for _, bad in want)
     assert first == next(s for s, bad in want if bad)
     assert count_negative(pieces, 0) == (0, 0, None)
+
+
+def random_pieces(rng):
+    """Disjoint pieces in increasing order between random finite sides (some
+    with q > 1, so that narrow pieces are empty on some rows), with gaps
+    and unbounded ends, and forms with alpha = 0, alpha < 0 and alpha > 0."""
+    values = {Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))}
+    sides = [None, *(Slope(v.numerator, v.denominator) for v in sorted(values)), None]
+    pieces = []
+    for lower, upper in zip(sides, sides[1:]):
+        if rng.random() < 0.8:
+            alpha = rng.choice((0, rng.randint(-9, -1), rng.randint(1, 9)))
+            pieces.append((lower, upper, alpha, rng.randint(-20, 20), rng.randint(-60, 60)))
+    return pieces
+
+
+def enumerate_negative(pieces, limit):
+    """count_negative by visiting every coprime pair in sweep order."""
+    negative = total = 0
+    first = None
+    for q in range(1, limit + 1):
+        for p in range(-limit, limit + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            total += 1
+            for lower, upper, alpha, beta, gamma in pieces:
+                if (lower is None or lower.p * q <= p * lower.q) and (upper is None or p * upper.q < upper.p * q):
+                    if alpha * p * p + 2 * beta * p * q + gamma * q * q < 0:
+                        negative += 1
+                        first = first or (p, q)
+                    break
+    return negative, total, first
+
+
+def test_count_negative_matches_enumeration():
+    rng = random.Random(53)
+    for case in range(600):
+        pieces = random_pieces(rng)
+        limit = rng.randint(0, 25)
+        assert count_negative(pieces, limit) == enumerate_negative(pieces, limit), (case, pieces, limit)

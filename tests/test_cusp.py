@@ -193,6 +193,22 @@ def test_cmp_sqrt3_examples():
         cmp_sqrt3(-1, 1, 1)
 
 
+def test_cmp_sqrt3_int_and_fraction_spellings_agree():
+    rng = random.Random(29)
+    for _ in range(500):
+        ints = [rng.randint(0, 10**rng.randint(1, 30)) for _ in range(3)]
+        if rng.random() < 0.3:  # a tie: sqrt(a^2) + sqrt(b^2) = sqrt((a+b)^2)
+            ints = [ints[0] ** 2, ints[1] ** 2, (ints[0] + ints[1]) ** 2]
+        den = rng.randint(1, 50)
+        sign = cmp_sqrt3(*ints)
+        assert sign == cmp_sqrt3(*(Fraction(x) for x in ints)) == cmp_sqrt3(*(str(x) for x in ints))
+        assert sign == cmp_sqrt3(*(Fraction(x, den) for x in ints))
+    assert cmp_sqrt3(True, False, 1) == cmp_sqrt3(1, 0, 1) == 0
+    for radicands in ((3, -1, 4), (Fraction(3), Fraction(-1), Fraction(4))):
+        with pytest.raises(ValueError, match="negative input"):
+            cmp_sqrt3(*radicands)
+
+
 def test_cmp_sqrt3_constructed_ties():
     rng = random.Random(27)
     for _ in range(200):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,17 +11,22 @@ from slopenorm import (
     CuspLattice,
     ManifoldData,
     ManifoldFormatError,
+    MERIDIAN,
     Slope,
     SurfaceData,
+    document_text,
     fig8_dataset,
     from_document,
     load,
     pretzel_dataset,
     save,
     to_document,
+    twobridge_dataset,
 )
 from slopenorm import manifold
 from slopenorm.manifold import _consistency_problems as consistency_problems
+
+from randgen import random_lattice, random_norm_data, random_slope
 
 FIG8_DOC = {
     "name": "figure-eight",
@@ -304,9 +311,86 @@ def test_consistency_checked_once_per_load(monkeypatch):
     ]
     assert str(err.value) == "invalid manifold document: " + "; ".join(err.value.problems)
     assert len(calls) == 2
-    # with a parse problem too, the consistency problems follow it
+    # an empty name is a consistency problem too, and it is reported first
     doc["name"] = ""
     with pytest.raises(ManifoldFormatError) as err:
         from_document(doc)
     assert err.value.problems[0] == "missing or empty name" and len(err.value.problems) == 3
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["", 7, None, b"fig8"])
+def test_constructor_rejects_a_name_the_loader_rejects(name):
+    with pytest.raises(ValueError, match="missing or empty name"):
+        dataclasses.replace(fig8_dataset(), name=name)
+
+
+def test_consistency_problems_come_before_parse_problems():
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["name"] = 7
+    doc["boundary_slopes"].append("x")
+    doc["meridian_norm_certificate"] = 6
+    with pytest.raises(ManifoldFormatError) as err:
+        from_document(doc)
+    assert err.value.problems == [
+        "missing or empty name",
+        "meridian_norm_certificate 6 differs from norm(m) = 4",
+        "boundary slope 2: not a slope: 'x'",
+    ]
+
+
+def random_manifold(rng: random.Random) -> ManifoldData:
+    """A ManifoldData with each optional part present or not: a lattice,
+    maximal where its systole allows, a norm with or without a meridian
+    term, surfaces with random flags, and a certificate."""
+    norm = random_norm_data(rng)
+    if rng.random() < 0.3:
+        norm = CSNormData(norm.terms + ((MERIDIAN, rng.choice((2, 4))),))
+    slopes = set(norm.support) | {random_slope(rng, finite=True) for _ in range(rng.randint(0, 3))}
+    lattice = random_lattice(rng)
+    if rng.random() < 0.5 and lattice.systole_squared()[0] >= 1:
+        lattice = dataclasses.replace(lattice, maximal=True)
+    surfaces = tuple(
+        SurfaceData(s, rng.randint(-9, 2), rng.randint(1, 4), rng.random() < 0.5, rng.random() < 0.5)
+        for s in rng.sample(sorted(slopes, key=str), rng.randint(0, 2))
+    )
+    with_norm = rng.random() < 0.8
+    return ManifoldData(
+        f"random-{rng.randrange(1000)}",
+        BoundarySlopeSet(tuple(slopes)),
+        cusp=lattice if rng.random() < 0.8 else None,
+        norm=norm if with_norm else None,
+        surfaces=surfaces,
+        meridian_norm_certificate=norm.meridian_norm() if with_norm and rng.random() < 0.3 else None,
+    )
+
+
+def test_document_text_matches_json_dumps():
+    rng = random.Random(61)
+    manifolds = [
+        fig8_dataset(),
+        *(pretzel_dataset(n) for n in range(7, 30, 2)),
+        *(twobridge_dataset(c) for c in range(4, 16)),
+        *(random_manifold(rng) for _ in range(200)),
+    ]
+    names = ['say "hi"', "back\\slash\\", "tab\tline\nnul\x00\x1f\x7f", "Möbius–Thurston ∞ 結び目", "\ud800", "/"]
+    assert {m.surfaces != () for m in manifolds} == {True, False}
+    assert {m.meridian_norm_certificate is None for m in manifolds} == {True, False}
+    assert {m.cusp.maximal for m in manifolds if m.cusp} == {True, False}
+    for m in manifolds:
+        for name in (m.name, rng.choice(names)):
+            named = dataclasses.replace(m, name=name)
+            assert document_text(named) == json.dumps(to_document(named), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_matches_json_dumps_on_other_values():
+    values = [
+        {},
+        [],
+        {"b": [], "a": {}, 'k"\\ey\n': [True, False, -(10**40), 0, "ü"], "": [{"z": 1, "y": [[]]}]},
+        [[1, [2, {"x": "/"}]], "tab\t"],
+    ]
+    for value in values:
+        assert manifold._json_text(value, "") == json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        manifold._json_text({"x": 1.5}, "")
