@@ -67,6 +67,9 @@ FAMILIES = {
 }
 FAMILY_OPTIONS = {"n": "K", "crossings": "C"}  # option -> metavar
 
+# the largest --range: a sweep sieves the prime factors of 1..N, N + 1 ints
+MAX_RANGE = 10**6
+
 
 def _merge_slope_flags(argv: list[str]) -> list[str]:
     # argparse mistakes "-4/1" for an option; fold it into "--slope=-4/1"
@@ -90,6 +93,8 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value > MAX_RANGE:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_RANGE}, got {text!r}")
     return value
 
 

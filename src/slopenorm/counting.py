@@ -2,7 +2,9 @@
 integer quadratic form is negative, taken row by row instead of pair by
 pair.  On a row a quadratic is negative on at most two runs of p, whose
 ends follow exactly from math.isqrt and floor division; the p coprime to q
-in a run are counted by Moebius inversion over the squarefree divisors of q.
+in a run are counted by Moebius inversion over the squarefree divisors of q,
+which are built only for the rows that have a run.  The count of all pairs
+is one closed form per box, not a sum over rows.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
     lower <= p/q < upper, for finite slopes lower and upper; None leaves
     that side unbounded.  Pieces must be disjoint and listed in
     increasing order; a part of a row under no piece counts as not negative.
+
+    All classes number 1 + 2*sum over d of mu(d)*(limit // d)^2, computed
+    once (0 for limit <= 0).  A row q is factored only when one of its
+    pieces has a negative run, so a row with none costs only its piece
+    bounds and _negative_runs calls.
     """
     # factor[n] is a prime factor of n, for 2 <= n <= limit
     factor = list(range(limit + 1))
@@ -37,30 +44,54 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
         lower_p, lower_q = (-limit, 1) if lower is None else (lower.p, lower.q)
         upper_p, upper_q = (limit + 1, 1) if upper is None else (upper.p, upper.q)
         sides.append((lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma))
-    negative = total = 0
+    negative = 0
     first = None
     for q in range(1, limit + 1):
-        divisors = [(1, 1)]  # squarefree divisors d of q with mu(d)
-        n = q
-        while n > 1:
-            prime = factor[n]
-            while n % prime == 0:
-                n //= prime
-            divisors += [(d * prime, -mu) for d, mu in divisors]
-        total += _count_coprime(divisors, -limit, limit)
+        divisors = None  # squarefree divisors d of q with mu(d), once a run needs them
         for lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma in sides:
             lo = max(-limit, -(-q * lower_p // lower_q))
             hi = min(limit, -(-q * upper_p // upper_q) - 1)
             if lo > hi:
                 continue
             for x, y in _negative_runs(alpha, q * beta, q * q * gamma, lo, hi):
+                if divisors is None:
+                    divisors = [(1, 1)]
+                    n = q
+                    while n > 1:
+                        prime = factor[n]
+                        while n % prime == 0:
+                            n //= prime
+                        divisors += [(d * prime, -mu) for d, mu in divisors]
                 count = _count_coprime(divisors, x, y)
                 negative += count
                 if count and first is None:
                     while math.gcd(x, q) != 1:  # stops by y, since count > 0
                         x += 1
                     first = (x, q)
-    return negative, total, first
+    return negative, _coprime_total(limit), first
+
+
+def _coprime_total(limit: int) -> int:
+    """How many p/q with |p| <= limit, 1 <= q <= limit are in lowest terms:
+    0/1 and twice the C(limit) coprime pairs in [1, limit]^2, where
+    C(n) = n^2 - sum over d >= 2 of C(n // d), since the pairs in [1, n]^2
+    with gcd d are d times the coprime pairs in [1, n // d]^2.  The d with
+    one quotient n // d are taken as one block.
+    """
+    memo = {}
+
+    def pairs(n: int) -> int:
+        if n not in memo:
+            total, d = n * n, 2
+            while d <= n:
+                quotient = n // d
+                end = n // quotient
+                total -= (end - d + 1) * pairs(quotient)
+                d = end + 1
+            memo[n] = total
+        return memo[n]
+
+    return 2 * pairs(limit) + 1 if limit > 0 else 0
 
 
 def _count_coprime(divisors: list[tuple[int, int]], x: int, y: int) -> int:

@@ -123,8 +123,9 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
     F = 9*L*norm^2 - 4*L*len^2 is negative.  Between consecutive finite term
     slopes the norm is a linear form A*p + B*q, so there F is an integer
     quadratic form, and `count_negative` counts its negative slopes row by
-    row.  The witness is the first failure in sweep order: the meridian,
-    then increasing q, then increasing p.
+    row, factoring q only on a row where some piece is negative; the count
+    of all slopes is a closed form.  The witness is the first failure in
+    sweep order: the meridian, then increasing q, then increasing p.
     """
     stmt = f"thm1[range {limit}]"
     if m.cusp is None or m.norm is None:

@@ -227,6 +227,12 @@ def test_range_must_be_positive(fig8_path, capsys, command, value):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "thm1"], ["verify", "all"], ["report"]])
+def test_range_has_a_maximum(fig8_path, capsys, command):
+    assert run([*command, "-m", fig8_path, "--range", str(10**10)]) == 2
+    assert "argument --range: expected at most 1000000, got '10000000000'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("statement", ["thm2", "thm3", "prop-norm", "prop6"])
 def test_range_rejected_where_unread(fig8_path, capsys, statement):
     assert run(["verify", statement, "-m", fig8_path, "--range", "5"]) == 2

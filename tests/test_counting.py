@@ -2,8 +2,9 @@ import math
 import random
 from fractions import Fraction
 
-from slopenorm import Slope
+from slopenorm import HOLDS, Slope, counting, fig8_dataset
 from slopenorm.counting import _count_coprime, _negative_runs, count_negative
+from test_verify import brute_force_sweep, stretched, sweep_fields, thm1_manifold
 
 
 def test_negative_runs_match_scan():
@@ -81,3 +82,40 @@ def test_count_negative_matches_enumeration():
         pieces = random_pieces(rng)
         limit = rng.randint(0, 25)
         assert count_negative(pieces, limit) == enumerate_negative(pieces, limit), (case, pieces, limit)
+
+
+def test_total_matches_gcd_enumeration():
+    # the box for n adds row q = n and the columns p = +-n of the rows below
+    want = 0
+    for n in range(-3, 301):
+        if n > 0:
+            want += sum(math.gcd(p, n) == 1 for p in range(-n, n + 1))
+            want += 2 * sum(math.gcd(n, q) == 1 for q in range(1, n))
+        assert count_negative([], n)[1] == want, n
+
+
+def test_total_is_a_totient_sum():
+    limit = 5000
+    phi = list(range(limit + 1))
+    for k in range(2, limit + 1):
+        if phi[k] == k:
+            for j in range(k, limit + 1, k):
+                phi[j] -= phi[j] // k
+    # 0/1 and +-p/q for the 2*sum(phi) - 1 coprime pairs in [1, limit]^2
+    assert count_negative([], limit)[1] == 4 * sum(phi[1:]) - 1
+
+
+def test_divisors_only_for_rows_with_runs(monkeypatch):
+    calls = []
+
+    def counted(divisors, x, y):
+        calls.append((x, y))
+        return _count_coprime(divisors, x, y)
+
+    monkeypatch.setattr(counting, "_count_coprime", counted)
+    fig8 = fig8_dataset()
+    assert sweep_fields(fig8, 500)[0] == HOLDS
+    assert calls == []
+    m = thm1_manifold(stretched(fig8.cusp, fig8.norm), fig8.norm)
+    assert sweep_fields(m, 20) == brute_force_sweep(m, 20)
+    assert calls
