@@ -2,9 +2,11 @@
 dataset emission, and a static SVG plot of the norm unit ball against the
 length ellipse.
 
-Exit codes: 0 when every check holds, 1 when some check fails, 2 on usage
-or data errors.  Pass/fail is always decided on exact values; decimals in
-the output are annotations.
+Exit codes: 0 when no check fails (a statement with nothing to check prints
+one not-applicable line), 1 when some check fails, 2 on usage errors and
+rejected input: an unreadable or invalid document, or a -r slope that the
+check cannot take.  Pass/fail is always decided on exact values; decimals
+in the output are annotations.
 """
 
 from __future__ import annotations
@@ -19,18 +21,11 @@ from . import families
 from .manifold import ManifoldData, document_text, load, save
 from .slopes import Slope, distance
 from .verify import (
+    NOT_APPLICABLE,
     VerifyReport,
-    cor_euler_applies,
-    corollary_euler,
-    extremal_pair,
-    integral_extremal_pair,
-    prop4_hypothesis,
-    prop6_condition,
+    _dec,
     standard_reports,
-    surface_pairs,
     sweep_norm_vs_length,
-    thm1_slopes,
-    verify_cor_ubdiam,
     verify_norm_ge_length,
     verify_prop_length,
     verify_prop_norm,
@@ -189,13 +184,40 @@ def _cmd_eval(args) -> int:
                 "quantity": "squared_length",
                 "slope": str(r),
                 "value": str(sq),
-                "decimal_length": f"{math.sqrt(sq):.12g}",
+                "decimal_length": _dec(sq.denominator, sq.numerator),
             }
     text = payload["value"]
     if args.quantity == "length":
         text += f" (length {payload['decimal_length']})"
     print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
     return 0
+
+
+def _not_applicable(stmt: str, m: ManifoldData) -> VerifyReport:
+    return VerifyReport(stmt, NOT_APPLICABLE, detail=f"no {stmt} check applies to {m.name}")
+
+
+def _check_slopes(stmt: str, m: ManifoldData, slopes: list[Slope]) -> list[VerifyReport]:
+    """The checker of `stmt` on each -r slope (thm1, thm3) or on the -r pair;
+    a check's error names the slopes it was given."""
+    if (stmt == "prop-length" and m.cusp is None) or (stmt == "prop-norm" and m.norm is None):
+        return []
+    reports = []
+    for group in [[r] for r in slopes] if STATEMENT_SLOPES[stmt] is None else [slopes]:
+        try:
+            if stmt == "thm1":
+                reports.append(verify_norm_ge_length(m, *group))
+            elif stmt == "thm2":
+                reports.append(verify_thm_length_norm(m, *group))
+            elif stmt == "thm3":
+                reports.append(verify_thm_diam(m, *group))
+            elif stmt == "prop-length":
+                reports.append(verify_prop_length(m.cusp, *group))
+            else:
+                reports.append(verify_prop_norm(m.norm, *group, m.boundary_slopes))
+        except ValueError as exc:
+            raise ValueError(" ".join(f"-r {r}" for r in group) + f": {exc}") from None
+    return reports
 
 
 def _cmd_verify(args) -> int:
@@ -206,43 +228,16 @@ def _cmd_verify(args) -> int:
         raise ValueError("--range applies only to thm1 and all, without -r/--slope")
     slopes = _parse_slopes(args.slope, STATEMENT_SLOPES[stmt] if args.slope else None)
     m = load(args.manifold)
-    bset = m.boundary_slopes
 
-    if stmt == "all":
+    if stmt == "thm1" and args.sweep:
+        reports = [sweep_norm_vs_length(m, args.sweep)]
+    elif slopes:
+        reports = _check_slopes(stmt, m, slopes)
+    else:  # the lines of standard_reports whose statement is stmt
         reports = standard_reports(m, sweep_range=args.sweep)
-    elif stmt == "thm1":
-        if args.sweep:
-            reports = [sweep_norm_vs_length(m, args.sweep)]
-        else:
-            reports = [verify_norm_ge_length(m, r) for r in slopes or thm1_slopes(m)]
-    elif stmt == "thm2":
-        reports = [verify_thm_length_norm(m, *(slopes or integral_extremal_pair(bset)))]
-    elif stmt == "thm3":
-        reports = [verify_thm_diam(m, r) for r in slopes or bset.finite]
-    elif stmt == "prop-length":
-        if m.cusp is None:
-            raise ValueError("manifold has no cusp data")
-        reports = [verify_prop_length(m.cusp, *(slopes or extremal_pair(bset)))]
-    elif stmt == "prop-norm":
-        if m.norm is None:
-            raise ValueError("manifold has no norm data")
-        reports = [verify_prop_norm(m.norm, *(slopes or extremal_pair(bset)), bset)]
-    elif stmt == "prop4":
-        reports = [prop4_hypothesis(m)]
-    elif stmt == "prop6":
-        pairs = surface_pairs(m)
-        if not pairs:
-            raise ValueError("no surface pairs with distinct slopes")
-        reports = [prop6_condition(s1, s2) for s1, s2 in pairs]
-    elif stmt == "cor-ubdiam":
-        reports = [verify_cor_ubdiam(m)]
-    else:
-        pairs = [(s1, s2) for s1, s2 in surface_pairs(m) if cor_euler_applies(s1, s2)]
-        if not pairs:
-            raise ValueError("no eligible surface pairs")
-        reports = [corollary_euler(s1, s2) for s1, s2 in pairs]
-
-    return _emit_reports(reports, args.format)
+        if stmt != "all":
+            reports = [r for r in reports if r.statement.split("(")[0] == stmt]
+    return _emit_reports(reports or [_not_applicable(stmt, m)], args.format)
 
 
 def _cmd_family(args) -> int:
@@ -265,13 +260,16 @@ def _cmd_plot(args) -> int:
     m = load(args.manifold)
     if m.norm is None or m.cusp is None:
         raise ValueError("plot needs both norm and cusp data")
-    _write_unit_ball_svg(m, args.out)
+    try:
+        _write_unit_ball_svg(m, args.out)
+    except OverflowError:
+        raise ValueError("plot needs cusp and norm values within the float range") from None
     return 0
 
 
 def _cmd_report(args) -> int:
     m = load(args.manifold)
-    reports = standard_reports(m, sweep_range=args.sweep)
+    reports = standard_reports(m, sweep_range=args.sweep) or [_not_applicable("all", m)]
     if args.format == "json":
         return _emit_reports(reports, "json")
     print(f"manifold: {m.name}")
@@ -282,7 +280,7 @@ def _cmd_report(args) -> int:
         "checks: "
         + ", ".join(f"{status} {n}" for status, n in sorted(counts.items()))
     )
-    width = max(len(r.statement) for r in reports) if reports else 0
+    width = max(len(r.statement) for r in reports)
     for r in reports:
         print(f"  {r.statement:<{width}}  {r.summary}")
     return 0 if all(r.ok for r in reports) else 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 
 from .counting import count_negative
 from .cusp import CuspLattice, cmp_sqrt3
@@ -24,8 +25,7 @@ __all__ = [
     "verify_norm_ge_length", "sweep_norm_vs_length", "prop4_hypothesis",
     "prop6_condition", "verify_prop_length", "verify_prop_norm",
     "verify_thm_length_norm", "verify_thm_diam", "verify_cor_ubdiam", "corollary_euler",
-    "standard_reports", "thm1_slopes", "extremal_pair",
-    "integral_extremal_pair", "surface_pairs", "cor_euler_applies",
+    "standard_reports", "extremal_pair", "integral_extremal_pair", "surface_pairs",
 ]
 
 HOLDS = "holds"
@@ -35,8 +35,12 @@ NOT_APPLICABLE = "not-applicable"
 
 
 def _dec(den: int, *nums: int) -> str:
-    # sqrt(n1/den) + sqrt(n2/den) + ... in 12 significant digits, for display
-    return f"{sum(math.sqrt(n / den) for n in nums):.12g}"
+    # sqrt(n1/den) + sqrt(n2/den) + ... in 12 significant digits, for display;
+    # a radicand past the float range is summed in decimal instead
+    try:
+        return f"{sum(math.sqrt(n / den) for n in nums):.12g}"
+    except OverflowError:
+        return f"{sum((Decimal(n) / den).sqrt() for n in nums).normalize(Context(prec=12)):g}"
 
 
 def _ratio(n: int, d: int) -> str:
@@ -366,11 +370,6 @@ def corollary_euler(s1: SurfaceData, s2: SurfaceData) -> VerifyReport:
 # -- default slope and pair choices ----------------------------------------------
 
 
-def thm1_slopes(m: ManifoldData) -> list[Slope]:
-    """The boundary slopes in order, then the meridian unless it is one."""
-    return [*m.boundary_slopes.finite, MERIDIAN]  # the meridian sorts last
-
-
 def extremal_pair(slopes: BoundarySlopeSet) -> tuple[Slope, Slope]:
     """The greatest and least finite boundary slopes."""
     finite = slopes.finite
@@ -396,21 +395,19 @@ def surface_pairs(m: ManifoldData) -> list[tuple[SurfaceData, SurfaceData]]:
     return [(s1, s2) for s1, s2 in itertools.combinations(_surfaces_by_slope(m), 2) if s1.slope != s2.slope]
 
 
-def cor_euler_applies(s1: SurfaceData, s2: SurfaceData) -> bool:
-    """Whether corollary_euler applies: finite slopes, negative Euler characteristics."""
-    return all(not s.slope.is_meridian and s.euler < 0 for s in (s1, s2))
-
-
 # -- orchestration --------------------------------------------------------------
 
 
 def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[VerifyReport]:
-    """Every applicable check on one manifold, in a deterministic order."""
+    """Every applicable check on one manifold, in a deterministic order.
+
+    The CLI's `verify STMT` prints the reports whose statement, up to `(`, is STMT.
+    """
     reports: list[VerifyReport] = []
     finite = m.boundary_slopes.finite
 
     if m.cusp is not None and m.norm is not None:
-        reports += [verify_norm_ge_length(m, r) for r in thm1_slopes(m)]
+        reports += [verify_norm_ge_length(m, r) for r in [*finite, MERIDIAN]]  # the meridian sorts last
         if sweep_range:
             reports.append(sweep_norm_vs_length(m, sweep_range))
 
@@ -431,7 +428,7 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
 
     for s1, s2 in surface_pairs(m):
         reports.append(prop6_condition(s1, s2))
-        if cor_euler_applies(s1, s2):
+        if all(not s.slope.is_meridian and s.euler < 0 for s in (s1, s2)):
             reports.append(corollary_euler(s1, s2))
 
     if m.cusp is not None:

@@ -1,9 +1,19 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from slopenorm import fig8_dataset, from_document, load, pretzel_dataset, save, twobridge_dataset
+from slopenorm import (
+    NOT_APPLICABLE,
+    VerifyReport,
+    fig8_dataset,
+    from_document,
+    load,
+    pretzel_dataset,
+    save,
+    twobridge_dataset,
+)
 from slopenorm.cli import VERIFY_STATEMENTS, run
 
 
@@ -153,6 +163,34 @@ def test_plot_unit_ball(fig8_path, tmp_path, capsys):
     assert len(ellipses) == 1
 
 
+# a valid document whose squared lengths are past the float range
+HUGE_DOC = {
+    "name": "huge",
+    "cusp": {"g_mm": "1", "g_ml": "0", "g_ll": str(10**309)},
+    "culler_shalen": {"terms": [{"slope": "4/1", "weight": 2}, {"slope": "-4/1", "weight": 2}]},
+    "boundary_slopes": ["4/1", "-4/1"],
+}
+
+
+def test_decimals_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_DOC))
+    length = math.isqrt(10**309 + 16)  # the length of 4/1, to well past 12 digits
+    assert run(["eval", "length", "-m", str(path), "-r", "4/1"]) == 0
+    assert capsys.readouterr().out == f"{10**309 + 16} (length {length:.12g})\n"
+    assert run(["verify", "prop-length", "-m", str(path)]) == 0
+    assert f"(decimals: {2 * length:.12g} vs 8)" in capsys.readouterr().out
+    for command in (["report"], ["verify", "all"]):
+        assert run([*command, "-m", str(path)]) == 1  # thm1 fails at 4/1 and -4/1
+        captured = capsys.readouterr()
+        assert "thm1(4/1)" in captured.out and "prop-length(4/1, -4/1)" in captured.out
+        assert captured.err == ""
+    svg = tmp_path / "ball.svg"
+    assert run(["plot", "unit-ball", "-m", str(path), "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == "error: plot needs cusp and norm values within the float range\n"
+    assert not svg.exists()
+
+
 def test_report(fig8_path, capsys):
     assert run(["report", "-m", fig8_path]) == 0
     out = capsys.readouterr().out
@@ -178,13 +216,34 @@ def test_data_error_single_line(tmp_path, capsys):
     assert "not primitive" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", [["eval", "distance"], ["verify", "thm1", "-m", "FIG8"]])
-@pytest.mark.parametrize("bad, reason", [("2/4", "not primitive"), ("-2/4", "not primitive"), ("x", "not a slope: 'x'")])
-def test_bad_slope_argument_named(fig8_path, capsys, command, bad, reason):
-    argv = [fig8_path if arg == "FIG8" else arg for arg in command]
-    assert run(argv + ["-r", "1/0", "-r", bad]) == 2
+SLOPE_COMMANDS = [["eval", "distance"], ["verify", "thm1", "-m", "FIG8"]]
+BAD_SLOPES = [("2/4", "not primitive"), ("-2/4", "not primitive"), ("x", "not a slope: 'x'")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [  # a slope that does not parse, after the meridian
+        pytest.param([*command, "-r", "1/0", "-r", bad], f"-r {bad}: {reason}", id=f"{bad}-{reason}-command{i}")
+        for bad, reason in BAD_SLOPES
+        for i, command in enumerate(SLOPE_COMMANDS)
+    ]
+    + [  # slopes that parse but that the check cannot take
+        pytest.param(
+            ["verify", "thm3", "-m", "FIG8", "-r", "4/1", "-r", "5/1"], "-r 5/1: not a boundary slope", id="thm3-not-boundary"
+        ),
+        pytest.param(["verify", "thm3", "-m", "FIG8", "-r", "1/0"], "-r 1/0: infinite slope", id="thm3-infinite"),
+        pytest.param(
+            ["verify", "prop-norm", "-m", "FIG8", "-r", "1/0", "-r", "4/1"], "-r 1/0 -r 4/1: infinite slope", id="prop-norm-infinite"
+        ),
+        pytest.param(
+            ["verify", "thm2", "-m", "FIG8", "-r", "4/1", "-r", "1/0"], "-r 4/1 -r 1/0: infinite slope", id="thm2-infinite"
+        ),
+    ],
+)
+def test_bad_slope_argument_named(fig8_path, capsys, argv, message):
+    assert run([fig8_path if arg == "FIG8" else arg for arg in argv]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: -r {bad}: {reason}\n"
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_exit_code_on_failing_check(tmp_path, capsys):
@@ -258,9 +317,35 @@ OUT_OF_ORDER_DOC = {
 }
 
 
+# the example document of the README
+README_DOC = {
+    "name": "figure-eight",
+    "cusp": {"g_mm": "1", "g_ml": "0", "g_ll": "12", "maximal": True},
+    "culler_shalen": {"terms": [{"slope": "4/1", "weight": 2}, {"slope": "-4/1", "weight": 2}]},
+    "boundary_slopes": ["4/1", "-4/1"],
+    "surfaces": [{"slope": "4/1", "euler": -1, "boundary_components": 1, "strict": True, "ideal_point": True}],
+}
+
+ONE_FINITE_SLOPE_DOC = {
+    "name": "one-finite-slope",
+    "culler_shalen": {"terms": [{"slope": "3/1", "weight": 2}, {"slope": "1/0", "weight": 2}]},
+    "boundary_slopes": ["3/1", "1/0"],
+}
+
+CUSP_ONLY_DOC = {
+    "name": "cusp-only",
+    "cusp": {"g_mm": "1", "g_ml": "1/2", "g_ll": "7"},
+    "boundary_slopes": ["0/1", "1/1"],
+}
+
+BARE_DOC = {"name": "bare", "boundary_slopes": ["1/1"]}
+
+
 def _json_reports(capsys, argv):
-    assert run([*argv, "--format", "json"]) in (0, 1)
-    return json.loads(capsys.readouterr().out)
+    code = run([*argv, "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == (1 if any(r["status"] == "fails" for r in reports) else 0)
+    return reports
 
 
 @pytest.mark.parametrize(
@@ -271,6 +356,10 @@ def _json_reports(capsys, argv):
         pretzel_dataset(9),
         twobridge_dataset(6),
         from_document(OUT_OF_ORDER_DOC),
+        from_document({**README_DOC, "name": "readme-example"}),
+        from_document(ONE_FINITE_SLOPE_DOC),
+        from_document(CUSP_ONLY_DOC),
+        from_document(BARE_DOC),
     ],
     ids=lambda m: m.name,
 )
@@ -278,7 +367,13 @@ def test_verify_statement_matches_verify_all(tmp_path, capsys, document):
     path = tmp_path / "m.json"
     save(document, path)
     everything = _json_reports(capsys, ["verify", "all", "-m", str(path)])
+    finite = document.boundary_slopes.finite
     for statement in VERIFY_STATEMENTS[:-1]:
-        expected = [r for r in everything if r["statement"].split("(")[0] == statement]
-        if expected:
-            assert _json_reports(capsys, ["verify", statement, "-m", str(path)]) == expected, statement
+        expected = [r for r in everything if r["statement"].split("(")[0] == statement] or [
+            VerifyReport(statement, NOT_APPLICABLE, detail=f"no {statement} check applies to {document.name}").to_dict()
+        ]
+        assert _json_reports(capsys, ["verify", statement, "-m", str(path)]) == expected, statement
+        if statement in ("prop-length", "prop-norm") and len(finite) >= 2:
+            # the extremal pair given with -r is the pair checked without it
+            extremal = ["-r", str(finite[-1]), "-r", str(finite[0])]
+            assert _json_reports(capsys, ["verify", statement, "-m", str(path), *extremal]) == expected, statement
