@@ -18,7 +18,7 @@ import re
 import sys
 
 from . import families
-from .manifold import ManifoldData, document_text, load, save
+from .manifold import ManifoldData, _overwrite, document_text, load, save
 from .slopes import Slope, distance
 from .verify import (
     NOT_APPLICABLE,
@@ -316,8 +316,7 @@ def _write_unit_ball_svg(m: ManifoldData, path: str) -> None:
         f'  <ellipse cx="0" cy="0" rx="{rx:.6g}" ry="{ry:.6g}" transform="rotate({-math.degrees(theta):.6g})" fill="none" stroke="#d62728" stroke-width="{stroke:.6g}"/>',
         "</svg>",
     ]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(svg) + "\n")
+    _overwrite(path, "\n".join(svg) + "\n")
 
 
 def run(argv=None) -> int:

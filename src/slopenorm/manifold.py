@@ -10,6 +10,7 @@ rationals written as exact "p/q" strings, never as floats.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -343,7 +344,20 @@ def _json_text(value, indent: str) -> str:
 
 
 def save(m: ManifoldData, path) -> None:
-    """Write document_text(m) to path."""
-    text = document_text(m)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    """Write document_text(m) to path, overwriting it in place (not atomic)."""
+    _overwrite(path, document_text(m))
+
+
+def _overwrite(path, text: str) -> None:
+    """Leave path holding exactly the UTF-8 bytes of text, as open(path, "w")
+    would, without truncating it first: the bytes go over the old ones, and
+    the file is cut only where the old one was longer.  On an ext4 file
+    system mounted with discard, truncating on open made a save of a
+    few-hundred-byte document 5-8 times slower.  A special file (a device,
+    a FIFO) has size 0, so it is never cut."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        longer = os.fstat(handle.fileno()).st_size > len(data)
+        handle.write(data)
+        if longer:
+            handle.truncate()

@@ -55,6 +55,13 @@ def _finite(*slopes: Slope) -> None:
         raise ValueError("infinite slope")
 
 
+def _finite_pair(r1: Slope, r2: Slope) -> None:
+    # with r1 == r2 the right side |r1 - r2| is 0, so a pair check would hold vacuously
+    _finite(r1, r2)
+    if r1 == r2:
+        raise ValueError("needs two distinct slopes")
+
+
 def _classify(lhs, rhs) -> tuple[str, str]:
     """Status and relation of an inequality lhs >= rhs, with equality noted."""
     if lhs > rhs:
@@ -197,7 +204,6 @@ def _length_radicands(lattice: CuspLattice, r1: Slope, r2: Slope) -> tuple[int, 
     """len^2(r1)/q1^2, len^2(r2)/q2^2 and (r1 - r2)^2 for two finite slopes,
     as integer numerators over one denominator L*q1^2*q2^2 (L the lattice's
     scale), and that denominator."""
-    _finite(r1, r2)
     scale, q1, q2 = lattice._scaled[0], r1.q * r1.q, r2.q * r2.q
     a, b = lattice._qval(r1.p, r1.q) * q2, lattice._qval(r2.p, r2.q) * q1
     return a, b, distance(r1, r2) ** 2 * scale, scale * q1 * q2
@@ -221,6 +227,7 @@ def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyRepo
     the lattice is flagged maximal, the weaker unit-meridian form with right
     side |r1 - r2| is reported as well.
     """
+    _finite_pair(r1, r2)
     a, b, diff2, den = _length_radicands(lattice, r1, r2)
     stmt = f"prop-length({r1}, {r2})"
     c = distance(r1, r2) ** 2 * lattice._scaled[1]  # (r1 - r2)^2 * g_mm over den
@@ -245,7 +252,7 @@ def verify_prop_norm(
     meridional weight is present, equality is forced; anything else there is
     reported as a failure of the data.
     """
-    _finite(r1, r2)
+    _finite_pair(r1, r2)
     stmt = f"prop-norm({r1}, {r2})"
     nm, q12, d = norm.meridian_norm(), r1.q * r2.q, distance(r1, r2)
     lhs = norm.evaluate(r1) * r2.q + norm.evaluate(r2) * r1.q  # over q12 * nm; |r1 - r2| = d / q12
@@ -269,7 +276,7 @@ def verify_prop_norm(
 def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyReport:
     """Check the chain len(r1)/q1 + len(r2)/q2 > |r1 - r2| = norm side,
     for a pair bracketing every boundary slope on a maximal horotorus."""
-    _finite(r1, r2)
+    _finite_pair(r1, r2)
     stmt = f"thm2({r1}, {r2})"
     if m.cusp is None or not m.cusp.maximal or m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs a maximal cusp shape and norm data")
@@ -312,6 +319,8 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
     stmt = f"thm3({r})"
     if m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="no norm data")
+    if len(m.boundary_slopes.finite) < 2:
+        return VerifyReport(stmt, NOT_APPLICABLE, detail="needs two finite boundary slopes")
     _finite(r)
     if r not in m.boundary_slopes:
         raise ValueError("not a boundary slope")
@@ -412,7 +421,9 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
             reports.append(sweep_norm_vs_length(m, sweep_range))
 
     if m.cusp is not None and m.cusp.maximal and m.norm is not None:
-        reports.append(verify_thm_length_norm(m, *integral_extremal_pair(m.boundary_slopes)))
+        top, bot = integral_extremal_pair(m.boundary_slopes)
+        if top != bot:  # one integral finite slope rounds to itself both ways
+            reports.append(verify_thm_length_norm(m, top, bot))
 
     if len(finite) >= 2:
         top, bot = extremal_pair(m.boundary_slopes)

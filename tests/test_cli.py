@@ -238,6 +238,14 @@ BAD_SLOPES = [("2/4", "not primitive"), ("-2/4", "not primitive"), ("x", "not a 
         pytest.param(
             ["verify", "thm2", "-m", "FIG8", "-r", "4/1", "-r", "1/0"], "-r 4/1 -r 1/0: infinite slope", id="thm2-infinite"
         ),
+    ]
+    + [  # a pair check needs two distinct slopes
+        pytest.param(
+            ["verify", statement, "-m", "FIG8", "-r", "4/1", "-r", "4/1"],
+            "-r 4/1 -r 4/1: needs two distinct slopes",
+            id=f"{statement}-same-slope",
+        )
+        for statement in ("thm2", "prop-length", "prop-norm")
     ],
 )
 def test_bad_slope_argument_named(fig8_path, capsys, argv, message):
@@ -377,3 +385,81 @@ def test_verify_statement_matches_verify_all(tmp_path, capsys, document):
             # the extremal pair given with -r is the pair checked without it
             extremal = ["-r", str(finite[-1]), "-r", str(finite[0])]
             assert _json_reports(capsys, ["verify", statement, "-m", str(path), *extremal]) == expected, statement
+
+
+# ONE_FINITE_SLOPE_DOC on a maximal cusp: its one finite slope is integral
+ONE_FINITE_SLOPE_MAXIMAL_DOC = {
+    **ONE_FINITE_SLOPE_DOC,
+    "name": "one-finite-slope-maximal",
+    "cusp": {"g_mm": "1", "g_ml": "0", "g_ll": "12", "maximal": True},
+}
+
+H, E, F, NA = "holds", "equality", "fails", NOT_APPLICABLE
+# the statuses `verify STMT` prints, in order, for each statement of
+# STATEMENT_SLOPES on each document shape
+STATEMENT_GRID = {
+    "figure-eight": (  # cusp and norm data, no surface pairs
+        fig8_dataset(),
+        {
+            "thm1": [H, H, H], "thm2": [H], "thm3": [H, H], "prop-length": [H], "prop-norm": [E],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [E], "cor-euler": [NA],
+            "all": [H, H, H, H, H, E, H, H, E],
+        },
+    ),
+    "cusp-only": (  # no norm data
+        from_document(CUSP_ONLY_DOC),
+        {
+            "thm1": [NA], "thm2": [NA], "thm3": [NA], "prop-length": [H], "prop-norm": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA],
+            "all": [H],
+        },
+    ),
+    "pretzel": (  # no cusp, no norm terms, two surfaces
+        pretzel_dataset(7),
+        {
+            "thm1": [NA], "thm2": [NA], "thm3": [NA], "prop-length": [NA], "prop-norm": [NA],
+            "prop4": [H], "prop6": [H], "cor-ubdiam": [NA], "cor-euler": [H],
+            "all": [H, H, H],
+        },
+    ),
+    "one-finite-slope": (  # norm data, no cusp
+        from_document(ONE_FINITE_SLOPE_DOC),
+        {
+            "thm1": [NA], "thm2": [NA], "thm3": [NA], "prop-length": [NA], "prop-norm": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA],
+            "all": [NA],
+        },
+    ),
+    "one-finite-slope-maximal": (  # thm1 fails at 3/1: 9 * 2^2 < 4 * 21
+        from_document(ONE_FINITE_SLOPE_MAXIMAL_DOC),
+        {
+            "thm1": [F, H], "thm2": [NA], "thm3": [NA], "prop-length": [NA], "prop-norm": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA],
+            "all": [F, H],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, statement",
+    [(shape, statement) for shape in STATEMENT_GRID for statement in VERIFY_STATEMENTS],
+    ids=lambda value: value,
+)
+def test_statement_grid(tmp_path, capsys, shape, statement):
+    document, expected = STATEMENT_GRID[shape]
+    path = tmp_path / "m.json"
+    save(document, path)
+    assert run(["verify", statement, "-m", str(path), "--format", "json"]) == (1 if F in expected[statement] else 0)
+    assert [r["status"] for r in json.loads(capsys.readouterr().out)] == expected[statement]
+
+
+@pytest.mark.parametrize("document", [ONE_FINITE_SLOPE_DOC, ONE_FINITE_SLOPE_MAXIMAL_DOC], ids=lambda d: d["name"])
+def test_one_finite_slope_with_slopes(tmp_path, capsys, document):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    assert run(["verify", "thm3", "-m", str(path), "-r", "3/1"]) == 0
+    assert capsys.readouterr().out == "thm3(3/1): not-applicable  (needs two finite boundary slopes)\n"
+    assert run(["verify", "thm2", "-m", str(path), "-r", "3/1", "-r", "3/1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: -r 3/1 -r 3/1: needs two distinct slopes\n"

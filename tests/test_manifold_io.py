@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import json
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from slopenorm import (
     twobridge_dataset,
 )
 from slopenorm import manifold
+from slopenorm.cli import run
 from slopenorm.manifold import _consistency_problems as consistency_problems
 
 from randgen import random_lattice, random_norm_data, random_slope
@@ -394,3 +398,98 @@ def test_json_text_matches_json_dumps_on_other_values():
         assert manifold._json_text(value, "") == json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         manifold._json_text({"x": 1.5}, "")
+
+
+# -- saving over what is there -----------------------------------------------------
+
+
+@pytest.mark.parametrize("old_size", ["longer", "equal", "shorter"])
+def test_save_overwrites_any_old_size(tmp_path, old_size):
+    m = fig8_dataset()
+    new = document_text(m).encode("utf-8")
+    old = {"longer": b"x" * (3 * len(new)), "equal": b"y" * len(new), "shorter": b"{}"}[old_size]
+    path = tmp_path / "m.json"
+    path.write_bytes(old)
+    save(m, path)
+    assert path.read_bytes() == new
+
+
+def test_save_to_special_files(tmp_path):
+    m = pretzel_dataset(9)
+    save(m, os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save(m, fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [document_text(m).encode("utf-8")]
+
+
+def test_save_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 5000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    save(fig8_dataset(), link)
+    assert link.is_symlink()
+    assert target.read_text() == document_text(fig8_dataset())
+
+
+def _make_read_only(path, monkeypatch) -> None:
+    # where file modes do not bind (a root user), an os.open that refuses to
+    # write to path stands in for the kernel's refusal
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        real_open = os.open
+
+        def refusing_open(target, flags, *args, **kwargs):
+            if os.fspath(target) == os.fspath(path) and flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(target))
+            return real_open(target, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+
+
+def test_save_to_read_only_target(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "kept.json"
+    path.write_text("old bytes")
+    _make_read_only(path, monkeypatch)
+    with pytest.raises(PermissionError):
+        save(fig8_dataset(), path)
+    assert path.read_text() == "old bytes"
+    assert run(["family", "fig8", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert path.read_text() == "old bytes"
+
+
+def test_plot_overwrites_a_longer_file(tmp_path):
+    source = tmp_path / "fig8.json"
+    save(fig8_dataset(), source)
+    fresh, reused = tmp_path / "fresh.svg", tmp_path / "reused.svg"
+    reused.write_text("<!-- old -->\n" * 1000)
+    for out in (fresh, reused):
+        assert run(["plot", "unit-ball", "-m", str(source), "--out", str(out)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_files_are_never_opened_truncating(tmp_path, monkeypatch):
+    # truncating on open is what overwriting in place avoids: it frees the
+    # old blocks, which costs far more than writing the new bytes over them
+    real_open = os.open
+    flags_seen = []
+
+    def recording_open(target, flags, *args, **kwargs):
+        flags_seen.append(flags)
+        return real_open(target, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    source = tmp_path / "fig8.json"
+    save(pretzel_dataset(99), source)
+    save(fig8_dataset(), source)
+    assert run(["plot", "unit-ball", "-m", str(source), "--out", str(tmp_path / "ball.svg")]) == 0
+    assert len(flags_seen) == 3
+    assert not any(flags & os.O_TRUNC for flags in flags_seen)

@@ -262,8 +262,9 @@ def test_prop_length_square_lattice():
 
 
 def test_prop_length_degenerate_pair():
-    rep = verify_prop_length(FIG8.cusp, Slope(4, 1), Slope(4, 1))
-    assert rep.status == HOLDS  # positive left side, zero right side
+    # one slope twice makes the right side 0, so the check would hold vacuously
+    with pytest.raises(ValueError, match="needs two distinct slopes"):
+        verify_prop_length(FIG8.cusp, Slope(4, 1), Slope(4, 1))
 
 
 def test_prop_length_meridian_rejected():
@@ -291,9 +292,9 @@ def test_prop_norm_fig8_equality_cases():
 
 
 def test_prop_norm_strict_case():
-    rep = verify_prop_norm(FIG8.norm, Slope(0, 1), Slope(0, 1), FIG8.boundary_slopes)
+    rep = verify_prop_norm(FIG8.norm, Slope(1, 1), Slope(0, 1), FIG8.boundary_slopes)
     assert rep.status == HOLDS
-    assert rep.lhs == "8" and rep.rhs == "0"
+    assert rep.lhs == "8" and rep.rhs == "1"
 
 
 def test_prop_norm_meridian_weight_degrades():
