@@ -24,6 +24,7 @@ from .verify import (
     NOT_APPLICABLE,
     VerifyReport,
     _dec,
+    _finite_pair,
     standard_reports,
     sweep_norm_vs_length,
     verify_norm_ge_length,
@@ -200,8 +201,6 @@ def _not_applicable(stmt: str, m: ManifoldData) -> VerifyReport:
 def _check_slopes(stmt: str, m: ManifoldData, slopes: list[Slope]) -> list[VerifyReport]:
     """The checker of `stmt` on each -r slope (thm1, thm3) or on the -r pair;
     a check's error names the slopes it was given."""
-    if (stmt == "prop-length" and m.cusp is None) or (stmt == "prop-norm" and m.norm is None):
-        return []
     reports = []
     for group in [[r] for r in slopes] if STATEMENT_SLOPES[stmt] is None else [slopes]:
         try:
@@ -211,10 +210,13 @@ def _check_slopes(stmt: str, m: ManifoldData, slopes: list[Slope]) -> list[Verif
                 reports.append(verify_thm_length_norm(m, *group))
             elif stmt == "thm3":
                 reports.append(verify_thm_diam(m, *group))
-            elif stmt == "prop-length":
-                reports.append(verify_prop_length(m.cusp, *group))
             else:
-                reports.append(verify_prop_norm(m.norm, *group, m.boundary_slopes))
+                # before the data gate, so that a bad pair is rejected whatever the document holds
+                _finite_pair(*group)
+                if stmt == "prop-length" and m.cusp is not None:
+                    reports.append(verify_prop_length(m.cusp, *group))
+                elif stmt == "prop-norm" and m.norm is not None:
+                    reports.append(verify_prop_norm(m.norm, *group, m.boundary_slopes))
         except ValueError as exc:
             raise ValueError(" ".join(f"-r {r}" for r in group) + f": {exc}") from None
     return reports
@@ -309,7 +311,7 @@ def _write_unit_ball_svg(m: ManifoldData, path: str) -> None:
     svg = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-half:.6g} {-half:.6g} {2 * half:.6g} {2 * half:.6g}" width="520" height="520">',
-        f"  <title>{m.name}: norm unit ball scaled by norm(m) = {nm}, against the unit-length ellipse</title>",
+        f"  <title>{_xml_text(m.name)}: norm unit ball scaled by norm(m) = {nm}, against the unit-length ellipse</title>",
         f'  <line x1="{-half:.6g}" y1="0" x2="{half:.6g}" y2="0" stroke="#bbbbbb" stroke-width="{stroke / 2:.6g}"/>',
         f'  <line x1="0" y1="{-half:.6g}" x2="0" y2="{half:.6g}" stroke="#bbbbbb" stroke-width="{stroke / 2:.6g}"/>',
         f'  <polygon points="{point_text}" fill="none" stroke="#1f77b4" stroke-width="{stroke:.6g}"/>',
@@ -317,6 +319,13 @@ def _write_unit_ball_svg(m: ManifoldData, path: str) -> None:
         "</svg>",
     ]
     _overwrite(path, "\n".join(svg) + "\n")
+
+
+def _xml_text(text: str) -> str:
+    """text as XML 1.0 character data: &, < and > escaped, and each
+    character that XML 1.0 cannot hold written as U+FFFD."""
+    text = re.sub("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", "\ufffd", text)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def run(argv=None) -> int:

@@ -65,8 +65,8 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
                 count = _count_coprime(divisors, x, y)
                 negative += count
                 if count and first is None:
-                    while math.gcd(x, q) != 1:  # stops by y, since count > 0
-                        x += 1
+                    # x is coprime to q: the forms are homogeneous and the sides
+                    # rays, so a negative d*(p, q) has (p, q) negative on an earlier row
                     first = (x, q)
     return negative, _coprime_total(limit), first
 

@@ -9,7 +9,6 @@ whose vertices lie on the rays spanned by the stored slopes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -113,24 +112,27 @@ class CSNormData:
     def min_norm_nontrivial(self) -> tuple[int, Slope]:
         """Least norm over slopes other than the meridian, with a minimizer.
 
-        Any slope beating the running minimum m lies inside m times the unit
-        ball, so the search is confined to the bounding box of that polygon.
-        Ties go by slopes._tie_key.
+        Rows q = 1, 2, ... are scanned.  On a row the norm is convex in p and
+        least, at q*c, on q*[lo, hi]: lo is the lower side of the first linear
+        piece with A >= 0, hi its upper side when A = 0 and lo otherwise, and
+        c = norm(lo)/lo.q.  A meridian term adds w*q to the whole row: c
+        counts it, and A and the interval do not move.  A row's candidate is
+        the integer in q*[lo, hi] nearest 0, the one slopes._tie_key prefers,
+        or with none there the two integers around it, the norm being strictly
+        monotone on either side.  The scan stops once q*c reaches the running
+        minimum: no later row can beat it, nor win a tie, since ties go to
+        smaller q.  A class d*v with d > 1 has d times the norm of v, found on
+        an earlier row, so it never wins.
         """
-        starts = [(0, 1)] + [(t, u) for _, t, u in self._terms if u]
-        best = min(self._search_key(p, q) for p, q in starts)
-        p_max, q_max = self._search_box(best[0])
-        for q in range(1, q_max + 1):
-            for p in range(-p_max, p_max + 1):
-                if math.gcd(abs(p), q) == 1 and self._direction_norm(p, q) <= best[0]:
-                    best = min(best, self._search_key(p, q))
+        lo, hi = next((lower, upper if big_a == 0 else lower) for lower, upper, big_a, _ in self.linear_pieces() if big_a >= 0)
+        least = self._direction_norm(lo.p, lo.q)
+        best, q = None, 1
+        while best is None or q * least < best[0] * lo.q:
+            a, b = -(-q * lo.p // lo.q), q * hi.p // hi.q
+            row = min(self._search_key(p, q) for p in ((min(max(0, a), b),) if a <= b else (b, a)))
+            best = row if best is None else min(best, row)
+            q += 1
         return best[0], Slope(*best[2])
-
-    def _search_box(self, bound: int) -> tuple[int, int]:
-        # integer bounding box of bound * unit ball: its vertices are the
-        # term directions (t, u) scaled to norm bound
-        norms = [(t, u, self._direction_norm(t, u)) for _, t, u in self._terms]
-        return max(bound * abs(t) // n for t, _, n in norms), max(bound * u // n for _, u, n in norms)
 
     def _search_key(self, p: int, q: int) -> tuple:
         return self._direction_norm(p, q), _tie_key(p, q), (p, q)

@@ -314,16 +314,17 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
     """Check diam > norm(r) / (q * norm(m)) strictly for a boundary slope r.
 
     The bound can never be met with equality on consistent data, so an exact
-    tie is reported as a failure with diagnostics.
+    tie is reported as a failure with diagnostics.  An r that is infinite or
+    not a boundary slope raises ValueError whatever data m holds.
     """
     stmt = f"thm3({r})"
+    _finite(r)
+    if r not in m.boundary_slopes:
+        raise ValueError("not a boundary slope")
     if m.norm is None:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="no norm data")
     if len(m.boundary_slopes.finite) < 2:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs two finite boundary slopes")
-    _finite(r)
-    if r not in m.boundary_slopes:
-        raise ValueError("not a boundary slope")
     dn, dd = m.boundary_slopes._diam_ratio()
     rn, rd = m.norm.evaluate(r), r.q * m.norm.meridian_norm()
     status, rel = _classify(dn * rd, rn * dd)

@@ -463,3 +463,65 @@ def test_one_finite_slope_with_slopes(tmp_path, capsys, document):
     assert run(["verify", "thm2", "-m", str(path), "-r", "3/1", "-r", "3/1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: -r 3/1 -r 3/1: needs two distinct slopes\n"
+
+
+# a bad -r slope is rejected on every document, whatever data the check would need
+BAD_SLOPE_TABLE = [
+    (["verify", "prop-length", "-m", "DOC", "-r", "3/1", "-r", "3/1"], "-r 3/1 -r 3/1: needs two distinct slopes"),
+    (["verify", "prop-norm", "-m", "DOC", "-r", "1/0", "-r", "2/1"], "-r 1/0 -r 2/1: infinite slope"),
+    (["verify", "thm3", "-m", "DOC", "-r", "5/1"], "-r 5/1: not a boundary slope"),
+    (["verify", "thm3", "-m", "DOC", "-r", "1/0"], "-r 1/0: infinite slope"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, argv, message",
+    [
+        pytest.param(document, argv, message, id=f"{document['name']}-{' '.join(argv[:2] + argv[4:])}")
+        for document in (README_DOC, ONE_FINITE_SLOPE_DOC, CUSP_ONLY_DOC, BARE_DOC)
+        for argv, message in BAD_SLOPE_TABLE
+    ]
+    + [  # a quantity the document has no data for
+        pytest.param(CUSP_ONLY_DOC, ["eval", "norm", "-m", "DOC", "-r", "1/1"], "manifold has no norm data", id="eval-norm"),
+        pytest.param(ONE_FINITE_SLOPE_DOC, ["eval", "length", "-m", "DOC", "-r", "3/1"], "manifold has no cusp data", id="eval-length"),
+        pytest.param(CUSP_ONLY_DOC, ["plot", "unit-ball", "-m", "DOC", "--out", "OUT"], "plot needs both norm and cusp data", id="plot-no-norm"),
+        pytest.param(
+            ONE_FINITE_SLOPE_DOC, ["plot", "unit-ball", "-m", "DOC", "--out", "OUT"], "plot needs both norm and cusp data", id="plot-no-cusp"
+        ),
+    ],
+)
+def test_rejected_on_the_document(tmp_path, capsys, document, argv, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "ball.svg"
+    assert run([{"DOC": str(path), "OUT": str(out)}.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_thm1_with_slopes(fig8_path, capsys):
+    assert run(["verify", "thm1", "-m", fig8_path, "-r", "4/1", "-r", "1/0"]) == 0
+    assert capsys.readouterr().out == (
+        "thm1(4/1): holds: 2304 > 112  (norm = 16, squared length = 28)\n"
+        "thm1(1/0): holds: 144 > 4  (norm = 4, squared length = 1)\n"
+    )
+
+
+def test_report_json_is_verify_all(fig8_path, capsys):
+    assert run(["report", "-m", fig8_path, "--format", "json"]) == 0
+    report = capsys.readouterr().out
+    assert run(["verify", "all", "-m", fig8_path, "--format", "json"]) == 0
+    assert report == capsys.readouterr().out and len(json.loads(report)) == 9
+
+
+@pytest.mark.parametrize("name", ["a<b & c", "ctl\u0001x", "Möbius ∞ <knot>", "lone \ud800 surrogate"])
+def test_plot_title_is_xml_text(tmp_path, capsys, name):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**README_DOC, "name": name}))
+    out = tmp_path / "ball.svg"
+    assert run(["plot", "unit-ball", "-m", str(path), "--out", str(out)]) == 0
+    title = ET.parse(out).getroot().find("{http://www.w3.org/2000/svg}title").text
+    # a character XML 1.0 cannot hold reads back as U+FFFD
+    want = name.replace("\u0001", "\ufffd").replace("\ud800", "\ufffd")
+    assert title.startswith(f"{want}: norm unit ball")

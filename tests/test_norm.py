@@ -6,7 +6,6 @@ from functools import cmp_to_key
 import pytest
 
 from slopenorm import (
-    LONGITUDE,
     MERIDIAN,
     BoundarySlopeSet,
     CSNormData,
@@ -185,20 +184,38 @@ def test_private_tables_leave_equality_alone():
     assert bset.finite == (Slope(-1, 3), Slope(4, 1)) and "_finite" not in repr(bset)
 
 
-def test_search_box_is_the_unit_ball_box():
-    rng = random.Random(37)
-    for norm in norms_with_and_without_meridian(rng, 60):
-        verts = norm.unit_ball_vertices()
-        x_extent = max(abs(x) for x, _ in verts)
-        y_extent = max(abs(y) for _, y in verts)
-        best = norm.min_norm_nontrivial()[0]
-        for bound in (1, 2, 7, best, norm.evaluate(LONGITUDE), 1000):
-            assert norm._search_box(bound) == (math.floor(bound * x_extent), math.floor(bound * y_extent))
-
-
 def test_min_norm_examples():
     assert FIG8_NORM.min_norm_nontrivial() == (16, Slope(0, 1))
     assert DIAMOND.min_norm_nontrivial() == (2, Slope(0, 1))
+
+
+@pytest.mark.parametrize(
+    "terms, expected, rows",
+    [
+        # a box around the unit ball holds about k^2 points; the row scan reads one row
+        *[
+            (((Slope(k * k + 1, k), 2), (Slope(k * k - 1, k), 2), (MERIDIAN, 2)), (6, Slope(k, 1)), 1)
+            for k in (300, 10**6)
+        ],
+        # a flat row away from 0, on either side of it
+        (((Slope(3, 1), 2), (Slope(5, 1), 2)), (4, Slope(3, 1)), 1),
+        (((Slope(-5, 1), 2), (Slope(-3, 1), 2)), (4, Slope(-3, 1)), 1),
+        # a tie across rows goes to the smaller q
+        (((Slope(1, 1000), 2), (Slope(1, 999), 2)), (2, Slope(1, 999)), 999),
+    ],
+)
+def test_min_norm_golden(terms, expected, rows, monkeypatch):
+    read = set()
+    search_key = CSNormData._search_key
+
+    def spy(self, p, q):
+        read.add(q)
+        return search_key(self, p, q)
+
+    monkeypatch.setattr(CSNormData, "_search_key", spy)
+    assert CSNormData(terms).min_norm_nontrivial() == expected
+    # the scan stops at the first row whose least reaches the best, which no later row can tie-win
+    assert read == set(range(1, rows + 1))
 
 
 def test_min_norm_bounded_by_all_slopes():
@@ -208,8 +225,7 @@ def test_min_norm_bounded_by_all_slopes():
 
 def test_min_norm_matches_brute_force():
     rng = random.Random(34)
-    for _ in range(40):
-        norm = random_norm_data(rng)
+    for norm in norms_with_and_without_meridian(rng, 60):
         assert norm.min_norm_nontrivial() == brute_force_min_norm(norm)
 
 
