@@ -158,7 +158,7 @@ def _emit_reports(reports: list[VerifyReport], fmt: str) -> int:
             line = f"{r.statement}: {r.summary}"
             if r.detail:
                 line += f"  ({r.detail})"
-            print(line)
+            print(_printable(line))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -274,7 +274,7 @@ def _cmd_report(args) -> int:
     reports = standard_reports(m, sweep_range=args.sweep) or [_not_applicable("all", m)]
     if args.format == "json":
         return _emit_reports(reports, "json")
-    print(f"manifold: {m.name}")
+    print(_printable(f"manifold: {m.name}"))
     counts = {}
     for r in reports:
         counts[r.status] = counts.get(r.status, 0) + 1
@@ -284,7 +284,7 @@ def _cmd_report(args) -> int:
     )
     width = max(len(r.statement) for r in reports)
     for r in reports:
-        print(f"  {r.statement:<{width}}  {r.summary}")
+        print(_printable(f"  {r.statement:<{width}}  {r.summary}"))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -321,10 +321,16 @@ def _write_unit_ball_svg(m: ManifoldData, path: str) -> None:
     _overwrite(path, "\n".join(svg) + "\n")
 
 
+def _printable(text: str, unfit: str = "[\ud800-\udfff]") -> str:
+    """text with each character of the class unfit written as U+FFFD; by default
+    those UTF-8 cannot encode (lone surrogates), as a document name may hold."""
+    return re.sub(unfit, "\ufffd", text)
+
+
 def _xml_text(text: str) -> str:
     """text as XML 1.0 character data: &, < and > escaped, and each
     character that XML 1.0 cannot hold written as U+FFFD."""
-    text = re.sub("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", "\ufffd", text)
+    text = _printable(text, "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

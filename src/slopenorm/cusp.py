@@ -65,9 +65,9 @@ class CuspLattice:
     def __post_init__(self) -> None:
         if not isinstance(self.maximal, bool):
             raise ValueError("cusp maximal flag must be a boolean")
-        for name in ("g_mm", "g_ml", "g_ll"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        gram = (self.g_mm, self.g_ml, self.g_ll)
+        gram = tuple(g if type(g) is Fraction else Fraction(g) for g in (self.g_mm, self.g_ml, self.g_ll))
+        for name, g in zip(("g_mm", "g_ml", "g_ll"), gram):
+            object.__setattr__(self, name, g)
         scale = math.lcm(*(g.denominator for g in gram))
         a, b, c = (g.numerator * (scale // g.denominator) for g in gram)
         if a <= 0 or c <= 0 or a * c <= b * b:
@@ -129,8 +129,14 @@ class CuspLattice:
 
         Runs Lagrange-Gauss reduction on the Gram matrix, then inspects the
         reduced basis vectors and their sum and difference, which between
-        them contain every minimal vector.  Ties go by slopes._tie_key.
+        them contain every minimal vector.  Ties go by slopes._tie_key.  Found
+        once per lattice, so the check of a maximal one answers later calls.
         """
+        if getattr(self, "_systole", None) is None:  # kept outside the fields, like _scaled
+            object.__setattr__(self, "_systole", self._reduce())
+        return self._systole
+
+    def _reduce(self) -> tuple[Fraction, Slope]:
         u, v = (1, 0), (0, 1)
         if self._qval(*u) > self._qval(*v):
             u, v = v, u

@@ -4,7 +4,9 @@ A ManifoldData ties together a name, the boundary-slope set, and whatever
 else is known: the cusp lattice, the norm data, essential-surface records,
 and an optional certified meridian-norm value.  Loading re-validates every
 invariant and reports all violations at once; saving is deterministic, with
-rationals written as exact "p/q" strings, never as floats.
+rationals written as exact "p/q" strings, never as floats.  document_text
+is the one place that writes the format's keys: it prints the JSON text
+straight from a ManifoldData, and to_document parses that text back.
 """
 
 from __future__ import annotations
@@ -122,6 +124,16 @@ class ManifoldFormatError(ValueError):
         super().__init__("invalid manifold document: " + "; ".join(self.problems))
 
 
+def _slope(text, parsed: dict) -> Slope:
+    """The slope a JSON string names (None: a missing or null slope), each
+    distinct text parsed once per document: parsed maps text to Slope."""
+    if not isinstance(text, str):
+        raise ValueError("missing slope" if text is None else "slope must be a string")
+    if text not in parsed:
+        parsed[text] = Slope.parse(text)
+    return parsed[text]
+
+
 def _parse_flag(doc: dict, key: str, owner: str, problems: list[str]) -> bool:
     value = doc.get(key, False)
     if not isinstance(value, bool):
@@ -155,7 +167,7 @@ def _parse_cusp(doc, problems: list[str]) -> CuspLattice | None:
         return None
 
 
-def _parse_norm(doc, problems: list[str]) -> CSNormData | None:
+def _parse_norm(doc, parsed: dict, problems: list[str]) -> CSNormData | None:
     if doc is None:
         return None
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
@@ -169,7 +181,7 @@ def _parse_norm(doc, problems: list[str]) -> CSNormData | None:
             continue
         slope = None
         try:
-            slope = Slope.parse(str(entry.get("slope")))
+            slope = _slope(entry.get("slope"), parsed)
         except ValueError as exc:
             local.append(f"norm term {i}: {exc}")
         weight = entry.get("weight")
@@ -188,7 +200,7 @@ def _parse_norm(doc, problems: list[str]) -> CSNormData | None:
         return None
 
 
-def _parse_surfaces(doc, problems: list[str]) -> tuple[SurfaceData, ...]:
+def _parse_surfaces(doc, parsed: dict, problems: list[str]) -> tuple[SurfaceData, ...]:
     if doc is None:
         return ()
     if not isinstance(doc, list):
@@ -204,7 +216,7 @@ def _parse_surfaces(doc, problems: list[str]) -> tuple[SurfaceData, ...]:
         try:
             surfaces.append(
                 SurfaceData(
-                    slope=Slope.parse(str(entry.get("slope"))),
+                    slope=_slope(entry.get("slope"), parsed),
                     euler=entry.get("euler"),
                     b=entry.get("boundary_components"),
                     strict=strict,
@@ -226,6 +238,7 @@ def from_document(doc) -> ManifoldData:
     if not isinstance(doc, dict):
         raise ManifoldFormatError(["document must be a JSON object"])
     problems: list[str] = []
+    parsed: dict[str, Slope] = {}
 
     slopes = []
     raw_slopes = doc.get("boundary_slopes")
@@ -234,7 +247,7 @@ def from_document(doc) -> ManifoldData:
     else:
         for i, text in enumerate(raw_slopes):
             try:
-                slopes.append(Slope.parse(str(text)))
+                slopes.append(_slope(text, parsed))
             except ValueError as exc:
                 problems.append(f"boundary slope {i}: {exc}")
 
@@ -246,8 +259,8 @@ def from_document(doc) -> ManifoldData:
             problems.append(str(exc))
 
     cusp = _parse_cusp(doc.get("cusp"), problems)
-    norm = _parse_norm(doc.get("culler_shalen"), problems)
-    surfaces = _parse_surfaces(doc.get("surfaces"), problems)
+    norm = _parse_norm(doc.get("culler_shalen"), parsed, problems)
+    surfaces = _parse_surfaces(doc.get("surfaces"), parsed, problems)
 
     name = doc.get("name")
     certificate = doc.get("meridian_norm_certificate")
@@ -261,39 +274,11 @@ def from_document(doc) -> ManifoldData:
 
 def to_document(m: ManifoldData) -> dict:
     """Plain-JSON form of a ManifoldData; inverse of from_document."""
-    doc: dict = {
-        "name": m.name,
-        "boundary_slopes": [str(s) for s in m.boundary_slopes],
-    }
-    if m.cusp is not None:
-        doc["cusp"] = {
-            "g_mm": str(m.cusp.g_mm),
-            "g_ml": str(m.cusp.g_ml),
-            "g_ll": str(m.cusp.g_ll),
-            "maximal": m.cusp.maximal,
-        }
-    if m.norm is not None:
-        doc["culler_shalen"] = {
-            "terms": [{"slope": str(s), "weight": a} for s, a in m.norm.terms]
-        }
-    if m.surfaces:
-        doc["surfaces"] = [
-            {
-                "slope": str(s.slope),
-                "euler": s.euler,
-                "boundary_components": s.b,
-                "strict": s.strict,
-                "ideal_point": s.ideal_point,
-            }
-            for s in m.surfaces
-        ]
-    if m.meridian_norm_certificate is not None:
-        doc["meridian_norm_certificate"] = m.meridian_norm_certificate
-    return doc
+    return json.loads(document_text(m))
 
 
 def load(path) -> ManifoldData:
-    """Read and validate a manifold document from a JSON file.
+    """Read and validate a manifold document from a UTF-8 JSON file.
 
     A key repeated within one JSON object makes the document ambiguous, so
     every repetition is reported instead of letting the last value win.
@@ -307,40 +292,50 @@ def load(path) -> ManifoldData:
             duplicates.extend(f"duplicate key {key!r}" for key in doc if keys.count(key) > 1)
         return doc
 
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ManifoldFormatError([f"malformed JSON: {exc}"]) from exc
+    with open(path, "rb", buffering=0) as handle:  # one read, then text mode's decoding and newlines
+        text = handle.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ManifoldFormatError([f"malformed JSON: {exc}"]) from exc
     if duplicates:
         raise ManifoldFormatError(duplicates)
     return from_document(doc)
 
 
 def document_text(m: ManifoldData) -> str:
-    """The document as JSON text with sorted keys; equal inputs, equal text."""
-    return _json_text(to_document(m), "") + "\n"
+    """The document as JSON text: byte for byte json.dumps(doc, indent=2,
+    sort_keys=True) + "\n" of the object from_document reads, so equal
+    inputs give equal text.  The keys are written here in sorted order;
+    slopes and rationals are "p/q" strings that need no escaping, and the
+    name is quoted by the function json.dumps itself quotes strings with."""
+    parts = ['{\n  "boundary_slopes": [\n    "', '",\n    "'.join(map(str, m.boundary_slopes)), '"\n  ]']
+    if m.norm is not None:
+        terms = ",\n".join(f'      {{\n        "slope": "{s}",\n        "weight": {_int(a)}\n      }}' for s, a in m.norm.terms)
+        parts.append(f',\n  "culler_shalen": {{\n    "terms": [\n{terms}\n    ]\n  }}')
+    if m.cusp is not None:
+        c = m.cusp
+        parts.append(
+            f',\n  "cusp": {{\n    "g_ll": "{c.g_ll!s}",\n    "g_ml": "{c.g_ml!s}",\n    "g_mm": "{c.g_mm!s}",\n'
+            f'    "maximal": {_BOOL[c.maximal]}\n  }}'
+        )
+    if m.meridian_norm_certificate is not None:
+        parts.append(f',\n  "meridian_norm_certificate": {_int(m.meridian_norm_certificate)}')
+    parts.append(f',\n  "name": {encode_basestring_ascii(m.name)}')
+    if m.surfaces:
+        surfaces = ",\n".join(
+            f'    {{\n      "boundary_components": {_int(s.b)},\n      "euler": {_int(s.euler)},\n'
+            f'      "ideal_point": {_BOOL[s.ideal_point]},\n      "slope": "{s.slope}",\n      "strict": {_BOOL[s.strict]}\n    }}'
+            for s in m.surfaces
+        )
+        parts.append(f',\n  "surfaces": [\n{surfaces}\n  ]')
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
-def _json_text(value, indent: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for the values a document
-    holds (objects, lists, strings, integers and booleans), without the
-    pure-Python encoder that indent selects; strings are quoted by the
-    function json.dumps itself quotes them with."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
-    if isinstance(value, list):
-        items = [inner + _json_text(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-    raise TypeError(f"not a document value: {value!r}")
+# how json.dumps writes an int (subclasses included) and a boolean
+_int = int.__repr__
+_BOOL = {True: "true", False: "false"}
 
 
 def save(m: ManifoldData, path) -> None:

@@ -147,9 +147,10 @@ class BoundarySlopeSet:
     def __post_init__(self) -> None:
         slopes = tuple(self.slopes)
         slopes = tuple(sorted(slopes, key=_value_key(slopes)))
-        if len(set(slopes)) != len(slopes):
+        # the (p, q) pairs and the finite slopes are not fields, so ==, hash and repr ignore them
+        object.__setattr__(self, "_pairs", {(s.p, s.q) for s in slopes})
+        if len(self._pairs) != len(slopes):
             raise ValueError("duplicate boundary slope")
-        # not a field, so ==, hash and repr ignore it
         finite = tuple(s for s in slopes if not s.is_meridian)
         if not finite:
             raise ValueError("need at least one finite boundary slope")
@@ -174,7 +175,7 @@ class BoundarySlopeSet:
         return hi.p * lo.q - lo.p * hi.q, hi.q * lo.q
 
     def __contains__(self, slope: Slope) -> bool:
-        return slope in self.slopes
+        return isinstance(slope, Slope) and (slope.p, slope.q) in self._pairs
 
     def __iter__(self) -> Iterator[Slope]:
         return iter(self.slopes)

@@ -70,7 +70,11 @@ class Slope:
         return cls(int(num), int(den or 1))
 
     def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
+        # rendered once and kept outside the fields, so ==, hash and repr ignore
+        # it; set as an attribute, since reading __dict__ slows later reads of p and q
+        if getattr(self, "_text", None) is None:
+            object.__setattr__(self, "_text", f"{self.p}/{self.q}")
+        return self._text
 
 
 def _value_key(slopes):

@@ -112,16 +112,18 @@ class VerifyReport:
 
 def verify_norm_ge_length(m: ManifoldData, r: Slope) -> VerifyReport:
     """Check norm(r) >= (2/3) * length(r), exactly: 9*norm^2 >= 4*len^2."""
-    stmt = f"thm1({r})"
     if m.cusp is None or m.norm is None:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
-    n = m.norm.evaluate(r)
+        return VerifyReport(f"thm1({r})", NOT_APPLICABLE, detail="needs both cusp shape and norm data")
+    return _thm1(m, r, m.norm.evaluate(r))
+
+
+def _thm1(m: ManifoldData, r: Slope, n: int) -> VerifyReport:
+    # the thm1 report where verify_norm_ge_length applies, given the norm n of r
     scale, len2 = m.cusp._scaled[0], m.cusp._qval(r.p, r.q)  # squared length len2/scale
     status, rel = _classify(9 * n * n * scale, 4 * len2)
     return VerifyReport(
-        stmt, status, str(9 * n * n), _ratio(4 * len2, scale), rel,
-        witnesses=(str(r),),
-        detail=f"norm = {n}, squared length = {_ratio(len2, scale)}",
+        f"thm1({r})", status, str(9 * n * n), _ratio(4 * len2, scale), rel,
+        witnesses=(str(r),), detail=f"norm = {n}, squared length = {_ratio(len2, scale)}",
     )
 
 
@@ -162,8 +164,13 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
 def prop4_hypothesis(m: ManifoldData) -> VerifyReport:
     """Search for two ideal-point surfaces with distinct slopes satisfying
     distance(s1, s2) >= 2*(-euler_i)/b_i for both; first such pair wins."""
+    return _prop4(surface_pairs(m))
+
+
+def _prop4(pairs: list[tuple[SurfaceData, SurfaceData]]) -> VerifyReport:
+    # the prop4 report on surface_pairs(m)
     stmt = "prop4"
-    for s1, s2 in surface_pairs(m):
+    for s1, s2 in pairs:
         if not all(s.ideal_point and s.euler < 0 for s in (s1, s2)):
             continue
         d = distance(s1.slope, s2.slope)
@@ -253,9 +260,14 @@ def verify_prop_norm(
     reported as a failure of the data.
     """
     _finite_pair(r1, r2)
+    return _prop_norm(norm, r1, r2, norm.evaluate(r1), norm.evaluate(r2), slopes)
+
+
+def _prop_norm(norm: CSNormData, r1: Slope, r2: Slope, n1: int, n2: int, slopes: BoundarySlopeSet) -> VerifyReport:
+    # the prop-norm report for a pair that passed verify_prop_norm's check, given its norms
     stmt = f"prop-norm({r1}, {r2})"
     nm, q12, d = norm.meridian_norm(), r1.q * r2.q, distance(r1, r2)
-    lhs = norm.evaluate(r1) * r2.q + norm.evaluate(r2) * r1.q  # over q12 * nm; |r1 - r2| = d / q12
+    lhs = n1 * r2.q + n2 * r1.q  # over q12 * nm; |r1 - r2| = d / q12
     status, rel = _classify(lhs, d * nm)
     detail = ""
     if _bracketing_gap(slopes, r1, r2) is None:
@@ -266,11 +278,7 @@ def verify_prop_norm(
             detail = "expected equality: the pair brackets every boundary slope"
         else:
             detail = "extremal pair: equality expected and found"
-    return VerifyReport(
-        stmt, status, _ratio(lhs, q12 * nm), _ratio(d, q12), rel,
-        witnesses=(str(r1), str(r2)),
-        detail=detail,
-    )
+    return VerifyReport(stmt, status, _ratio(lhs, q12 * nm), _ratio(d, q12), rel, witnesses=(str(r1), str(r2)), detail=detail)
 
 
 def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyReport:
@@ -283,27 +291,23 @@ def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyRepor
     gap = _bracketing_gap(m.boundary_slopes, r1, r2)
     if gap:
         return VerifyReport(stmt, NOT_APPLICABLE, witnesses=(str(gap[0]),), detail=gap[1])
+    return _thm2(m, r1, r2, m.norm.evaluate(r1), m.norm.evaluate(r2))
+
+
+def _thm2(m: ManifoldData, r1: Slope, r2: Slope, n1: int, n2: int) -> VerifyReport:
+    # the thm2 report for a finite pair that passed verify_thm_length_norm's checks, given its norms
     a, b, c, den = _length_radicands(m.cusp, r1, r2)
     sign = cmp_sqrt3(a, b, c)
-    norm_report = verify_prop_norm(m.norm, r1, r2, m.boundary_slopes)
-    norm_ok = norm_report.status == EQUALITY or (
-        m.norm.has_meridian_term and norm_report.status == HOLDS
-    )
+    norm_report = _prop_norm(m.norm, r1, r2, n1, n2, m.boundary_slopes)
+    norm_ok = norm_report.status == EQUALITY or (m.norm.has_meridian_term and norm_report.status == HOLDS)
     status = HOLDS if sign > 0 and norm_ok else FAILS
-    detail = (
-        f"length side {_dec(den, a, b)}, "
-        f"norm side {norm_report.lhs} ({norm_report.status})"
-    )
+    detail = f"length side {_dec(den, a, b)}, norm side {norm_report.lhs} ({norm_report.status})"
     if r1.q == 1 and r2.q == 1:
-        n1, n2, nm = m.norm.evaluate(r1), m.norm.evaluate(r2), m.norm.meridian_norm()
-        detail += (
-            f"; integral form: len({r1}) + len({r2}) > "
-            f"(norm {n1} + norm {n2}) / norm(m) {nm} = {_ratio(n1 + n2, nm)}"
-        )
+        nm = m.norm.meridian_norm()
+        detail += f"; integral form: len({r1}) + len({r2}) > (norm {n1} + norm {n2}) / norm(m) {nm} = {_ratio(n1 + n2, nm)}"
     return VerifyReport(
-        stmt, status, f"sqrt({_ratio(a, den)}) + sqrt({_ratio(b, den)})", norm_report.rhs, ">",
-        witnesses=(str(r1), str(r2)),
-        detail=detail,
+        f"thm2({r1}, {r2})", status, f"sqrt({_ratio(a, den)}) + sqrt({_ratio(b, den)})", norm_report.rhs, ">",
+        witnesses=(str(r1), str(r2)), detail=detail,
     )
 
 
@@ -325,36 +329,44 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="no norm data")
     if len(m.boundary_slopes.finite) < 2:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs two finite boundary slopes")
+    return _thm3(m, r, m.norm.evaluate(r))
+
+
+def _thm3(m: ManifoldData, r: Slope, rn: int) -> VerifyReport:
+    # the thm3 report for a slope that passed verify_thm_diam's checks, given its norm rn
     dn, dd = m.boundary_slopes._diam_ratio()
-    rn, rd = m.norm.evaluate(r), r.q * m.norm.meridian_norm()
+    rd = r.q * m.norm.meridian_norm()
     status, rel = _classify(dn * rd, rn * dd)
     if status != HOLDS:
         status = FAILS
         detail = "diameter below the norm bound" if rel == "<" else "bound met with equality; a strict inequality is required"
     else:
         detail = "meridional weight present" if m.norm.has_meridian_term else ""
-    return VerifyReport(stmt, status, _ratio(dn, dd), _ratio(rn, rd), rel, witnesses=(str(r),), detail=detail)
+    return VerifyReport(f"thm3({r})", status, _ratio(dn, dd), _ratio(rn, rd), rel, witnesses=(str(r),), detail=detail)
 
 
 def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     """Check the two-term upper bound on the diameter from the extremal
     boundary slopes, plus the doubled max-term form."""
-    stmt = "cor-ubdiam"
     if m.norm is None or len(m.boundary_slopes.finite) < 2:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="needs norm data and two finite boundary slopes")
-    nm, ev = m.norm.meridian_norm(), m.norm.evaluate
+        return VerifyReport("cor-ubdiam", NOT_APPLICABLE, detail="needs norm data and two finite boundary slopes")
+    return _cor_ubdiam(m, [m.norm.evaluate(s) for s in m.boundary_slopes.finite])
+
+
+def _cor_ubdiam(m: ManifoldData, norms: list[int]) -> VerifyReport:
+    # the cor-ubdiam report where verify_cor_ubdiam applies, given the norms of the finite boundary slopes
+    nm = m.norm.meridian_norm()
     s_top, s_bot = extremal_pair(m.boundary_slopes)
     # the bound is bn/bd, the largest term tn/(nm*td), the diameter dn/dd
-    bn, bd = ev(s_top) * s_bot.q + ev(s_bot) * s_top.q, nm * s_top.q * s_bot.q
+    bn, bd = norms[-1] * s_bot.q + norms[0] * s_top.q, nm * s_top.q * s_bot.q
     tn, td = 0, 1
-    for s in m.boundary_slopes.finite:
-        if ev(s) * td > tn * s.q:
-            tn, td = ev(s), s.q
+    for s, n in zip(m.boundary_slopes.finite, norms):
+        if n * td > tn * s.q:
+            tn, td = n, s.q
     dn, dd = m.boundary_slopes._diam_ratio()
     status, rel = _classify(bn * dd, dn * bd) if 2 * tn * dd >= dn * nm * td else (FAILS, "<")
     return VerifyReport(
-        stmt, status, _ratio(bn, bd), _ratio(dn, dd), rel,
-        witnesses=(str(s_top), str(s_bot)),
+        "cor-ubdiam", status, _ratio(bn, bd), _ratio(dn, dd), rel, witnesses=(str(s_top), str(s_bot)),
         detail=f"max form: 2 * {_ratio(tn, nm * td)} = {_ratio(2 * tn, nm * td)} vs {_ratio(dn, dd)}",
     )
 
@@ -402,7 +414,11 @@ def _surfaces_by_slope(m: ManifoldData) -> list[SurfaceData]:
 
 def surface_pairs(m: ManifoldData) -> list[tuple[SurfaceData, SurfaceData]]:
     """Surface pairs with distinct slopes, in slope order within and across pairs."""
-    return [(s1, s2) for s1, s2 in itertools.combinations(_surfaces_by_slope(m), 2) if s1.slope != s2.slope]
+    return _distinct_pairs(_surfaces_by_slope(m))
+
+
+def _distinct_pairs(surfaces: list[SurfaceData]) -> list[tuple[SurfaceData, SurfaceData]]:
+    return [(s1, s2) for s1, s2 in itertools.combinations(surfaces, 2) if s1.slope != s2.slope]
 
 
 # -- orchestration --------------------------------------------------------------
@@ -412,39 +428,47 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
     """Every applicable check on one manifold, in a deterministic order.
 
     The CLI's `verify STMT` prints the reports whose statement, up to `(`, is STMT.
+    Each finite boundary slope's norm is evaluated once, and the surfaces
+    are sorted once.
     """
     reports: list[VerifyReport] = []
     finite = m.boundary_slopes.finite
+    norms = [m.norm.evaluate(r) for r in finite] if m.norm is not None else []
 
     if m.cusp is not None and m.norm is not None:
-        reports += [verify_norm_ge_length(m, r) for r in [*finite, MERIDIAN]]  # the meridian sorts last
+        reports += [_thm1(m, r, n) for r, n in zip(finite, norms)]
+        reports.append(_thm1(m, MERIDIAN, m.norm.meridian_norm()))  # the meridian sorts last
         if sweep_range:
             reports.append(sweep_norm_vs_length(m, sweep_range))
 
     if m.cusp is not None and m.cusp.maximal and m.norm is not None:
         top, bot = integral_extremal_pair(m.boundary_slopes)
         if top != bot:  # one integral finite slope rounds to itself both ways
-            reports.append(verify_thm_length_norm(m, top, bot))
+            n_top = norms[-1] if top == finite[-1] else m.norm.evaluate(top)
+            n_bot = norms[0] if bot == finite[0] else m.norm.evaluate(bot)
+            reports.append(_thm2(m, top, bot, n_top, n_bot))
 
     if len(finite) >= 2:
         top, bot = extremal_pair(m.boundary_slopes)
         if m.cusp is not None:
             reports.append(verify_prop_length(m.cusp, top, bot))
         if m.norm is not None:
-            reports.append(verify_prop_norm(m.norm, top, bot, m.boundary_slopes))
-            reports += [verify_thm_diam(m, r) for r in finite]
-            reports.append(verify_cor_ubdiam(m))
+            reports.append(_prop_norm(m.norm, top, bot, norms[-1], norms[0], m.boundary_slopes))
+            reports += [_thm3(m, r, n) for r, n in zip(finite, norms)]
+            reports.append(_cor_ubdiam(m, norms))
 
-    if any(s.ideal_point and s.euler < 0 for s in m.surfaces):
-        reports.append(prop4_hypothesis(m))
+    surfaces = _surfaces_by_slope(m)
+    pairs = _distinct_pairs(surfaces)
+    if any(s.ideal_point and s.euler < 0 for s in surfaces):
+        reports.append(_prop4(pairs))
 
-    for s1, s2 in surface_pairs(m):
+    for s1, s2 in pairs:
         reports.append(prop6_condition(s1, s2))
         if all(not s.slope.is_meridian and s.euler < 0 for s in (s1, s2)):
             reports.append(corollary_euler(s1, s2))
 
     if m.cusp is not None:
-        for s in _surfaces_by_slope(m):
+        for s in surfaces:
             if s.euler < 0:
                 ok = m.cusp.agol_check(s)
                 lhs = _ratio(m.cusp._qval(s.slope.p, s.slope.q) * s.b * s.b, m.cusp._scaled[0])

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -525,3 +527,45 @@ def test_plot_title_is_xml_text(tmp_path, capsys, name):
     # a character XML 1.0 cannot hold reads back as U+FFFD
     want = name.replace("\u0001", "\ufffd").replace("\ud800", "\ufffd")
     assert title.startswith(f"{want}: norm unit ball")
+
+
+LONE_SURROGATE_DOCS = {
+    "failing": {  # the inconsistent document of test_exit_code_on_failing_check
+        "cusp": {"g_mm": "1", "g_ml": "0", "g_ll": "400"},
+        "boundary_slopes": ["0/1", "1/1"],
+        "surfaces": [
+            {"slope": "0/1", "euler": -1, "boundary_components": 1},
+            {"slope": "1/1", "euler": -1, "boundary_components": 1},
+        ],
+    },
+    "readme": README_DOC,
+    "bare": BARE_DOC,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, document, code, line",
+    [
+        (["report"], "failing", 1, "manifold: \ufffd"),
+        (["verify", "prop6"], "readme", 0, "prop6: not-applicable  (no prop6 check applies to \ufffd)"),
+        (["verify", "all"], "bare", 0, "all: not-applicable  (no all check applies to \ufffd)"),
+        (["report"], "bare", 0, "manifold: \ufffd"),
+    ],
+    ids=["report-failing", "prop6", "all-bare", "report-bare"],
+)
+def test_text_output_writes_unencodable_characters_as_replacement(tmp_path, monkeypatch, argv, document, code, line):
+    # a name JSON can hold but UTF-8 cannot encode, through a strict UTF-8 stdout
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**LONE_SURROGATE_DOCS[document], "name": "\ud800"}))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run([*argv, "-m", str(path)]) == code
+    assert line in stdout.buffer.getvalue().decode("utf-8").splitlines()
+
+
+def test_json_output_keeps_a_lone_surrogate_escaped(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**BARE_DOC, "name": "\ud800"}))
+    assert run(["report", "-m", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert "no all check applies to \\ud800" in out and json.loads(out)[0]["detail"] == "no all check applies to \ud800"

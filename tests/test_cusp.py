@@ -163,6 +163,16 @@ def test_systole_examples():
     assert CuspLattice(5, 2, 1).systole_squared() == (1, Slope(0, 1))
 
 
+def test_systole_kept_from_the_maximal_check():
+    maximal = CuspLattice(Fraction(1), 0, "12", maximal=True)
+    assert type(maximal.g_ll) is Fraction and maximal.g_mm == 1
+    assert "_systole" in vars(maximal) and "_systole" not in vars(CuspLattice(1, 0, 12))
+    found = maximal.systole_squared()
+    assert found == (1, MERIDIAN) and maximal.systole_squared() is found
+    assert maximal == CuspLattice(1, 0, 12, maximal=True)
+    assert repr(maximal) == "CuspLattice(g_mm=Fraction(1, 1), g_ml=Fraction(0, 1), g_ll=Fraction(12, 1), maximal=True)"
+
+
 def test_systole_matches_brute_force():
     rng = random.Random(25)
     for _ in range(60):

@@ -124,6 +124,98 @@ def test_malformed_json(tmp_path):
         load(path)
 
 
+FIG8_TEXT = document_text(fig8_dataset())
+# the name key unquoted: malformed JSON at the start of line 24
+FIG8_BAD_TEXT = FIG8_TEXT.replace('"name"', "name")
+FIG8_BAD_MESSAGE = (
+    "invalid manifold document: malformed JSON: "
+    "Expecting property name enclosed in double quotes: line 24 column 3 (char 312)"
+)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_translates_newlines(tmp_path, newline):
+    # as a file opened in text mode reads them, so a malformed document is
+    # reported at the same line, column and character whatever its newlines
+    path = tmp_path / "m.json"
+    path.write_bytes(FIG8_TEXT.replace("\n", newline).encode())
+    assert load(path) == fig8_dataset()
+    path.write_bytes(FIG8_BAD_TEXT.replace("\n", newline).encode())
+    with pytest.raises(ManifoldFormatError) as err:
+        load(path)
+    assert str(err.value) == FIG8_BAD_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        pytest.param(
+            b"\xef\xbb\xbf" + FIG8_TEXT.encode(), ManifoldFormatError,
+            "invalid manifold document: malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+            id="bom",
+        ),
+        pytest.param(
+            b"\xff\xfe" + FIG8_TEXT.encode("utf-16-le"), UnicodeDecodeError,
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            id="utf-16",
+        ),
+        pytest.param(
+            FIG8_TEXT.encode().replace(b"figure", b"fig\xffure"), UnicodeDecodeError,
+            "'utf-8' codec can't decode byte 0xff in position 324: invalid start byte",
+            id="invalid-utf-8",
+        ),
+    ],
+)
+def test_load_reads_utf8_only(tmp_path, capsys, data, error, message):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value) == message
+    assert run(["report", "-m", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda d: d["boundary_slopes"].__setitem__(1, -4), "boundary slope 1: slope must be a string"),
+        (lambda d: d["boundary_slopes"].__setitem__(1, True), "boundary slope 1: slope must be a string"),
+        (lambda d: d["boundary_slopes"].__setitem__(1, None), "boundary slope 1: missing slope"),
+        (lambda d: d["culler_shalen"]["terms"][0].pop("slope"), "norm term 0: missing slope"),
+        (lambda d: d["culler_shalen"]["terms"][0].__setitem__("slope", 4), "norm term 0: slope must be a string"),
+        (lambda d: d["culler_shalen"]["terms"][0].__setitem__("slope", 4.0), "norm term 0: slope must be a string"),
+        (lambda d: d["surfaces"][0].pop("slope"), "surface 0: missing slope"),
+        (lambda d: d["surfaces"][0].__setitem__("slope", [4, 1]), "surface 0: slope must be a string"),
+    ],
+    ids=["number", "true", "null", "term-missing", "term-number", "term-float", "surface-missing", "surface-list"],
+)
+def test_slopes_are_json_strings(change, problem):
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["surfaces"] = [{"slope": "4/1", "euler": -1, "boundary_components": 1}]
+    change(doc)
+    with pytest.raises(ManifoldFormatError) as err:
+        from_document(doc)
+    assert problem in err.value.problems
+
+
+def test_each_slope_text_parsed_once(monkeypatch):
+    doc = json.loads(json.dumps(FIG8_DOC))
+    doc["surfaces"] = [{"slope": "4/1", "euler": -1, "boundary_components": 1}]
+    parse = Slope.parse.__func__
+    texts = []
+
+    def counted(cls, text):
+        texts.append(text)
+        return parse(cls, text)
+
+    monkeypatch.setattr(Slope, "parse", classmethod(counted))
+    m = from_document(doc)
+    assert sorted(texts) == ["-4/1", "4/1"]
+    # one Slope per text, shared by the boundary set, the norm and the surface
+    assert m.surfaces[0].slope is m.boundary_slopes.finite[-1] is m.norm.support[-1]
+
+
 def test_missing_boundary_slopes():
     with pytest.raises(ManifoldFormatError, match="boundary_slopes"):
         from_document({"name": "x"})
@@ -191,6 +283,40 @@ def test_rational_strings_strict():
     }
     with pytest.raises(ManifoldFormatError, match="not a rational"):
         from_document(doc)
+
+
+def document_oracle(m: ManifoldData) -> dict:
+    """The plain-JSON object from_document reads, built key by key; the text
+    document_text writes must be json.dumps of it."""
+    doc: dict = {
+        "name": m.name,
+        "boundary_slopes": [str(s) for s in m.boundary_slopes],
+    }
+    if m.cusp is not None:
+        doc["cusp"] = {
+            "g_mm": str(m.cusp.g_mm),
+            "g_ml": str(m.cusp.g_ml),
+            "g_ll": str(m.cusp.g_ll),
+            "maximal": m.cusp.maximal,
+        }
+    if m.norm is not None:
+        doc["culler_shalen"] = {
+            "terms": [{"slope": str(s), "weight": a} for s, a in m.norm.terms]
+        }
+    if m.surfaces:
+        doc["surfaces"] = [
+            {
+                "slope": str(s.slope),
+                "euler": s.euler,
+                "boundary_components": s.b,
+                "strict": s.strict,
+                "ideal_point": s.ideal_point,
+            }
+            for s in m.surfaces
+        ]
+    if m.meridian_norm_certificate is not None:
+        doc["meridian_norm_certificate"] = m.meridian_norm_certificate
+    return doc
 
 
 def test_to_document_shape():
@@ -384,20 +510,9 @@ def test_document_text_matches_json_dumps():
     for m in manifolds:
         for name in (m.name, rng.choice(names)):
             named = dataclasses.replace(m, name=name)
-            assert document_text(named) == json.dumps(to_document(named), indent=2, sort_keys=True) + "\n"
-
-
-def test_json_text_matches_json_dumps_on_other_values():
-    values = [
-        {},
-        [],
-        {"b": [], "a": {}, 'k"\\ey\n': [True, False, -(10**40), 0, "ü"], "": [{"z": 1, "y": [[]]}]},
-        [[1, [2, {"x": "/"}]], "tab\t"],
-    ]
-    for value in values:
-        assert manifold._json_text(value, "") == json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        manifold._json_text({"x": 1.5}, "")
+            oracle = document_oracle(named)
+            assert document_text(named) == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+            assert to_document(named) == oracle
 
 
 # -- saving over what is there -----------------------------------------------------

@@ -278,4 +278,7 @@ def test_boundary_slope_set_order_and_lookup():
     assert extremal_pair(bset) == (Slope(4, 1), Slope(-4, 1))
     assert MERIDIAN in bset
     assert Slope(1, 2) not in bset
+    assert Slope(-4, -1) in bset and Slope(4, -1) in bset
+    for other in ("4/1", (4, 1), None, 4, Fraction(4)):
+        assert other not in bset
     assert len(bset) == 3

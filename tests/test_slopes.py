@@ -85,6 +85,13 @@ def test_parse_and_str():
             Slope.parse(text)
 
 
+def test_text_is_rendered_once_and_not_compared():
+    r = Slope(3, -2)
+    assert str(r) is str(r) == "-3/2"
+    # the kept text is not a field: a slope equals, hashes and prints as a fresh one
+    assert r == Slope(-3, 2) and hash(r) == hash(Slope(-3, 2)) and repr(r) == "Slope(p=-3, q=2)"
+
+
 def test_parse_str_roundtrip():
     rng = random.Random(14)
     for _ in range(100):

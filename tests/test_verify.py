@@ -706,3 +706,48 @@ def test_standard_reports_match_fraction_formulas():
                  ("cor-ubdiam", HOLDS), ("prop-norm", EQUALITY), ("prop-norm", HOLDS),
                  ("cor-euler", HOLDS), ("cor-euler", FAILS)]:
         assert seen.get(kind, 0) >= 5, (kind, seen)
+
+
+# -- standard_reports against the public checkers ------------------------------------
+
+PUBLIC_CHECKERS = {
+    "thm1": lambda m, r: verify_norm_ge_length(m, r),
+    "thm2": lambda m, r1, r2: verify_thm_length_norm(m, r1, r2),
+    "thm3": lambda m, r: verify_thm_diam(m, r),
+    "prop-norm": lambda m, r1, r2: verify_prop_norm(m.norm, r1, r2, m.boundary_slopes),
+    "cor-ubdiam": lambda m: verify_cor_ubdiam(m),
+    "prop4": lambda m: prop4_hypothesis(m),
+}
+
+
+def test_standard_reports_match_public_checkers():
+    # standard_reports builds these statements from norms it evaluates once;
+    # each public checker evaluates its own and must give the same report
+    seen = {}
+    for m in [FIG8, *reference_documents(150, 64)]:
+        for rep in standard_reports(m, sweep_range=3):
+            name, _, args = rep.statement.partition("(")
+            if name in PUBLIC_CHECKERS:
+                slopes = [Slope.parse(a) for a in args.rstrip(")").split(", ")] if args else []
+                assert rep == PUBLIC_CHECKERS[name](m, *slopes), m
+                seen[name, rep.status] = seen.get((name, rep.status), 0) + 1
+    for kind in [("thm1", HOLDS), ("thm1", FAILS), ("thm2", HOLDS), ("thm3", HOLDS), ("cor-ubdiam", EQUALITY),
+                 ("cor-ubdiam", HOLDS), ("prop-norm", EQUALITY), ("prop-norm", HOLDS), ("prop4", HOLDS),
+                 ("prop4", FAILS)]:
+        assert seen.get(kind, 0) >= 3, (kind, seen)
+
+
+def test_standard_reports_evaluate_each_norm_once(monkeypatch):
+    evaluate = CSNormData.evaluate
+    calls = []
+
+    def counted(norm, r):
+        calls.append(r)
+        return evaluate(norm, r)
+
+    monkeypatch.setattr(CSNormData, "evaluate", counted)
+    for m in [FIG8, *reference_documents(150, 65)]:
+        calls.clear()
+        standard_reports(m, sweep_range=3)
+        assert len(set(calls)) == len(calls), (m, calls)
+        assert set(m.boundary_slopes.finite) <= set(calls)
