@@ -19,7 +19,7 @@ import sys
 
 from . import families
 from .manifold import ManifoldData, _overwrite, document_text, load, save
-from .slopes import Slope, distance
+from .slopes import _SLOPE_TEXT, Slope, distance
 from .verify import (
     NOT_APPLICABLE,
     VerifyReport,
@@ -36,8 +36,6 @@ from .verify import (
 
 __all__ = ["run", "main"]
 
-_SLOPE_ARG = re.compile(r"-\d+(?:/\d+)?")
-
 # each verify statement and the number of -r slopes it reads (None: any, 0: none)
 STATEMENT_SLOPES = {
     "thm1": None,
@@ -51,7 +49,6 @@ STATEMENT_SLOPES = {
     "cor-euler": 0,
     "all": 0,
 }
-VERIFY_STATEMENTS = tuple(STATEMENT_SLOPES)
 
 # each family kind: its builder in .families and the one option it reads, if
 # any; a builder is looked up when called, so that a wrapper installed on
@@ -73,7 +70,7 @@ def _merge_slope_flags(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in ("-r", "--slope") and i + 1 < len(argv) and _SLOPE_ARG.fullmatch(argv[i + 1]):
+        if token in ("-r", "--slope") and i + 1 < len(argv) and argv[i + 1].startswith("-") and _SLOPE_TEXT.fullmatch(argv[i + 1]):
             out.append(f"--slope={argv[i + 1]}")
             i += 2
         else:
@@ -110,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification report")
     p_verify.set_defaults(handler=_cmd_verify)
-    p_verify.add_argument("statement", choices=VERIFY_STATEMENTS)
+    p_verify.add_argument("statement", choices=STATEMENT_SLOPES)
     p_verify.add_argument("-m", "--manifold", required=True, metavar="PATH")
     p_verify.add_argument("-r", "--slope", action="append", default=[], metavar="P/Q")
     p_verify.add_argument("--range", type=_positive_int, dest="sweep", metavar="N")
@@ -321,9 +318,11 @@ def _write_unit_ball_svg(m: ManifoldData, path: str) -> None:
     _overwrite(path, "\n".join(svg) + "\n")
 
 
-def _printable(text: str, unfit: str = "[\ud800-\udfff]") -> str:
-    """text with each character of the class unfit written as U+FFFD; by default
-    those UTF-8 cannot encode (lone surrogates), as a document name may hold."""
+def _printable(text: str, unfit: str = r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]") -> str:
+    """text with each character of the class unfit written as U+FFFD, as a
+    document name may hold them; by default the C0 and C1 controls, DEL and
+    U+2028 and U+2029, which can start a line of their own, and the lone
+    surrogates, which UTF-8 cannot encode."""
     return re.sub(unfit, "\ufffd", text)
 
 

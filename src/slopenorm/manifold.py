@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .cusp import CuspLattice
 from .norm import BoundarySlopeSet, CSNormData, is_norm_weight
-from .slopes import Slope
+from .slopes import _SLOPE_TEXT, Slope
 
 __all__ = [
     "SurfaceData",
@@ -33,15 +32,16 @@ __all__ = [
     "from_document",
 ]
 
-_RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
-
 
 def _parse_rational(text) -> Fraction:
+    """An int, or a text in the slope grammar (slopes._SLOPE_TEXT) whose
+    denominator, if any, begins with an ASCII 1-9."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_TEXT.fullmatch(text.strip()):
+    s = text.strip() if isinstance(text, str) else ""
+    num, _, den = s.partition("/")
+    if not _SLOPE_TEXT.fullmatch(s) or (den and den[0] not in "123456789"):
         raise ValueError(f"not a rational: {text!r}")
-    num, _, den = text.strip().partition("/")
     return Fraction(int(num), int(den or 1))
 
 
@@ -83,14 +83,7 @@ class ManifoldData:
             self.name, self.boundary_slopes, self.norm, self.surfaces, self.meridian_norm_certificate
         )
         if problems:
-            raise _Inconsistent(problems)
-
-
-class _Inconsistent(ValueError):
-    # the problems ManifoldData rejects, kept as a list for from_document
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-        super().__init__("; ".join(problems))
+            raise ManifoldFormatError(problems)
 
 
 def _consistency_problems(name, bset, norm, surfaces, certificate) -> list[str]:
@@ -117,7 +110,8 @@ def _consistency_problems(name, bset, norm, surfaces, certificate) -> list[str]:
 
 
 class ManifoldFormatError(ValueError):
-    """Raised on load with the full list of violated invariants."""
+    """Raised on load, and by ManifoldData, with the full list of violated
+    invariants."""
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
@@ -266,10 +260,7 @@ def from_document(doc) -> ManifoldData:
     certificate = doc.get("meridian_norm_certificate")
     if problems:
         raise ManifoldFormatError(_consistency_problems(name, bset, norm, surfaces, certificate) + problems)
-    try:  # ManifoldData checks the consistency problems, once
-        return ManifoldData(name, bset, cusp, norm, surfaces, certificate)
-    except _Inconsistent as exc:
-        raise ManifoldFormatError(exc.problems) from None
+    return ManifoldData(name, bset, cusp, norm, surfaces, certificate)  # which checks the consistency problems
 
 
 def to_document(m: ManifoldData) -> dict:

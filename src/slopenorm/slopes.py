@@ -23,6 +23,8 @@ __all__ = [
     "enumerate_slopes",
 ]
 
+# the one grammar of slope and rational text, which manifold._parse_rational
+# and cli._merge_slope_flags narrow with rules of their own
 _SLOPE_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 

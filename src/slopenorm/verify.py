@@ -25,7 +25,7 @@ __all__ = [
     "verify_norm_ge_length", "sweep_norm_vs_length", "prop4_hypothesis",
     "prop6_condition", "verify_prop_length", "verify_prop_norm",
     "verify_thm_length_norm", "verify_thm_diam", "verify_cor_ubdiam", "corollary_euler",
-    "standard_reports", "extremal_pair", "integral_extremal_pair", "surface_pairs",
+    "standard_reports", "extremal_pair", "integral_extremal_pair",
 ]
 
 HOLDS = "holds"
@@ -62,12 +62,13 @@ def _finite_pair(r1: Slope, r2: Slope) -> None:
         raise ValueError("needs two distinct slopes")
 
 
-def _classify(lhs, rhs) -> tuple[str, str]:
-    """Status and relation of an inequality lhs >= rhs, with equality noted."""
+def _classify(lhs, rhs, strict: bool = False) -> tuple[str, str]:
+    """Status and relation of an inequality lhs >= rhs, with equality noted,
+    or of lhs > rhs when strict, which equality fails."""
     if lhs > rhs:
         return HOLDS, ">"
     if lhs == rhs:
-        return EQUALITY, "="
+        return FAILS if strict else EQUALITY, "="
     return FAILS, "<"
 
 
@@ -164,11 +165,11 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
 def prop4_hypothesis(m: ManifoldData) -> VerifyReport:
     """Search for two ideal-point surfaces with distinct slopes satisfying
     distance(s1, s2) >= 2*(-euler_i)/b_i for both; first such pair wins."""
-    return _prop4(surface_pairs(m))
+    return _prop4(_distinct_pairs(_surfaces_by_slope(m)))
 
 
 def _prop4(pairs: list[tuple[SurfaceData, SurfaceData]]) -> VerifyReport:
-    # the prop4 report on surface_pairs(m)
+    # the prop4 report on the surface pairs with distinct slopes, in slope order
     stmt = "prop4"
     for s1, s2 in pairs:
         if not all(s.ideal_point and s.euler < 0 for s in (s1, s2)):
@@ -238,11 +239,10 @@ def verify_prop_length(lattice: CuspLattice, r1: Slope, r2: Slope) -> VerifyRepo
     a, b, diff2, den = _length_radicands(lattice, r1, r2)
     stmt = f"prop-length({r1}, {r2})"
     c = distance(r1, r2) ** 2 * lattice._scaled[1]  # (r1 - r2)^2 * g_mm over den
-    status, rel = _classify(cmp_sqrt3(a, b, c), 0)
+    status, rel = _classify(cmp_sqrt3(a, b, c), 0, strict=True)
     detail = f"decimals: {_dec(den, a, b)} vs {_dec(den, c)}"
     if lattice.maximal:
-        unit_sign = cmp_sqrt3(a, b, diff2)
-        detail += f"; unit-meridian form (rhs |r1 - r2|): {'holds' if unit_sign > 0 else 'fails'}"
+        detail += f"; unit-meridian form (rhs |r1 - r2|): {_classify(cmp_sqrt3(a, b, diff2), 0, strict=True)[0]}"
     return VerifyReport(
         stmt, status, f"sqrt({_ratio(a, den)}) + sqrt({_ratio(b, den)})", f"sqrt({_ratio(c, den)})", rel,
         witnesses=(str(r1), str(r2)),
@@ -329,16 +329,16 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="no norm data")
     if len(m.boundary_slopes.finite) < 2:
         return VerifyReport(stmt, NOT_APPLICABLE, detail="needs two finite boundary slopes")
-    return _thm3(m, r, m.norm.evaluate(r))
+    return _thm3(m, r, m.norm.evaluate(r), m.boundary_slopes._diam_ratio())
 
 
-def _thm3(m: ManifoldData, r: Slope, rn: int) -> VerifyReport:
-    # the thm3 report for a slope that passed verify_thm_diam's checks, given its norm rn
-    dn, dd = m.boundary_slopes._diam_ratio()
+def _thm3(m: ManifoldData, r: Slope, rn: int, diam: tuple[int, int]) -> VerifyReport:
+    # the thm3 report for a slope that passed verify_thm_diam's checks, given
+    # its norm rn and the diameter as _diam_ratio gives it
+    dn, dd = diam
     rd = r.q * m.norm.meridian_norm()
-    status, rel = _classify(dn * rd, rn * dd)
+    status, rel = _classify(dn * rd, rn * dd, strict=True)
     if status != HOLDS:
-        status = FAILS
         detail = "diameter below the norm bound" if rel == "<" else "bound met with equality; a strict inequality is required"
     else:
         detail = "meridional weight present" if m.norm.has_meridian_term else ""
@@ -350,11 +350,12 @@ def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     boundary slopes, plus the doubled max-term form."""
     if m.norm is None or len(m.boundary_slopes.finite) < 2:
         return VerifyReport("cor-ubdiam", NOT_APPLICABLE, detail="needs norm data and two finite boundary slopes")
-    return _cor_ubdiam(m, [m.norm.evaluate(s) for s in m.boundary_slopes.finite])
+    return _cor_ubdiam(m, [m.norm.evaluate(s) for s in m.boundary_slopes.finite], m.boundary_slopes._diam_ratio())
 
 
-def _cor_ubdiam(m: ManifoldData, norms: list[int]) -> VerifyReport:
-    # the cor-ubdiam report where verify_cor_ubdiam applies, given the norms of the finite boundary slopes
+def _cor_ubdiam(m: ManifoldData, norms: list[int], diam: tuple[int, int]) -> VerifyReport:
+    # the cor-ubdiam report where verify_cor_ubdiam applies, given the norms
+    # of the finite boundary slopes and the diameter as _diam_ratio gives it
     nm = m.norm.meridian_norm()
     s_top, s_bot = extremal_pair(m.boundary_slopes)
     # the bound is bn/bd, the largest term tn/(nm*td), the diameter dn/dd
@@ -363,7 +364,7 @@ def _cor_ubdiam(m: ManifoldData, norms: list[int]) -> VerifyReport:
     for s, n in zip(m.boundary_slopes.finite, norms):
         if n * td > tn * s.q:
             tn, td = n, s.q
-    dn, dd = m.boundary_slopes._diam_ratio()
+    dn, dd = diam
     status, rel = _classify(bn * dd, dn * bd) if 2 * tn * dd >= dn * nm * td else (FAILS, "<")
     return VerifyReport(
         "cor-ubdiam", status, _ratio(bn, bd), _ratio(dn, dd), rel, witnesses=(str(s_top), str(s_bot)),
@@ -412,12 +413,8 @@ def _surfaces_by_slope(m: ManifoldData) -> list[SurfaceData]:
     return sorted(m.surfaces, key=lambda s: key(s.slope))
 
 
-def surface_pairs(m: ManifoldData) -> list[tuple[SurfaceData, SurfaceData]]:
-    """Surface pairs with distinct slopes, in slope order within and across pairs."""
-    return _distinct_pairs(_surfaces_by_slope(m))
-
-
 def _distinct_pairs(surfaces: list[SurfaceData]) -> list[tuple[SurfaceData, SurfaceData]]:
+    # the pairs with distinct slopes, in the order of surfaces within and across pairs
     return [(s1, s2) for s1, s2 in itertools.combinations(surfaces, 2) if s1.slope != s2.slope]
 
 
@@ -428,8 +425,8 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
     """Every applicable check on one manifold, in a deterministic order.
 
     The CLI's `verify STMT` prints the reports whose statement, up to `(`, is STMT.
-    Each finite boundary slope's norm is evaluated once, and the surfaces
-    are sorted once.
+    Each finite boundary slope's norm is evaluated once, the diameter is
+    computed once, and the surfaces are sorted once.
     """
     reports: list[VerifyReport] = []
     finite = m.boundary_slopes.finite
@@ -454,8 +451,9 @@ def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[Ve
             reports.append(verify_prop_length(m.cusp, top, bot))
         if m.norm is not None:
             reports.append(_prop_norm(m.norm, top, bot, norms[-1], norms[0], m.boundary_slopes))
-            reports += [_thm3(m, r, n) for r, n in zip(finite, norms)]
-            reports.append(_cor_ubdiam(m, norms))
+            diam = m.boundary_slopes._diam_ratio()
+            reports += [_thm3(m, r, n, diam) for r, n in zip(finite, norms)]
+            reports.append(_cor_ubdiam(m, norms, diam))
 
     surfaces = _surfaces_by_slope(m)
     pairs = _distinct_pairs(surfaces)

@@ -16,7 +16,7 @@ from slopenorm import (
     save,
     twobridge_dataset,
 )
-from slopenorm.cli import VERIFY_STATEMENTS, run
+from slopenorm.cli import STATEMENT_SLOPES, run
 
 
 @pytest.fixture()
@@ -378,7 +378,7 @@ def test_verify_statement_matches_verify_all(tmp_path, capsys, document):
     save(document, path)
     everything = _json_reports(capsys, ["verify", "all", "-m", str(path)])
     finite = document.boundary_slopes.finite
-    for statement in VERIFY_STATEMENTS[:-1]:
+    for statement in list(STATEMENT_SLOPES)[:-1]:
         expected = [r for r in everything if r["statement"].split("(")[0] == statement] or [
             VerifyReport(statement, NOT_APPLICABLE, detail=f"no {statement} check applies to {document.name}").to_dict()
         ]
@@ -445,7 +445,7 @@ STATEMENT_GRID = {
 
 @pytest.mark.parametrize(
     "shape, statement",
-    [(shape, statement) for shape in STATEMENT_GRID for statement in VERIFY_STATEMENTS],
+    [(shape, statement) for shape in STATEMENT_GRID for statement in STATEMENT_SLOPES],
     ids=lambda value: value,
 )
 def test_statement_grid(tmp_path, capsys, shape, statement):
@@ -561,6 +561,28 @@ def test_text_output_writes_unencodable_characters_as_replacement(tmp_path, monk
     monkeypatch.setattr(sys, "stdout", stdout)
     assert run([*argv, "-m", str(path)]) == code
     assert line in stdout.buffer.getvalue().decode("utf-8").splitlines()
+
+
+CONTROLS = "".join(map(chr, [*range(0x20), 0x7F, *range(0x80, 0xA0), 0x2028, 0x2029]))
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [
+        ("a\nchecks: holds 99", "a\ufffdchecks: holds 99"),
+        ("a\u2028checks: holds 99\x85b", "a\ufffdchecks: holds 99\ufffdb"),
+        (f"x{CONTROLS}y", "x" + "\ufffd" * len(CONTROLS) + "y"),
+    ],
+    ids=["newline", "separators", "every-control"],
+)
+def test_text_output_writes_control_characters_as_replacement(tmp_path, capsys, name, shown):
+    # a name must add no line that reads as the report's own, for print or for str.splitlines
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"name": name, "boundary_slopes": ["3/1", "1/0"]}))
+    assert run(["report", "-m", str(path)]) == 0
+    assert capsys.readouterr().out == f"manifold: {shown}\nchecks: not-applicable 1\n  all  not-applicable\n"
+    assert run(["verify", "prop6", "-m", str(path)]) == 0
+    assert capsys.readouterr().out == f"prop6: not-applicable  (no prop6 check applies to {shown})\n"
 
 
 def test_json_output_keeps_a_lone_surrogate_escaped(tmp_path, capsys):

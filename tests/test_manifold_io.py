@@ -104,8 +104,9 @@ def test_all_violations_reported_together():
     doc = {
         "name": "",
         "cusp": {"g_mm": "1", "g_ml": "5", "g_ll": "1", "maximal": False},
-        "culler_shalen": {"terms": [{"slope": "2/4", "weight": 3}]},
+        "culler_shalen": {"terms": [{"slope": "2/4", "weight": 3}, "4/1"]},
         "boundary_slopes": ["4/1", "x"],
+        "surfaces": [["4/1", -1, 1]],
     }
     with pytest.raises(ManifoldFormatError) as err:
         from_document(doc)
@@ -114,7 +115,9 @@ def test_all_violations_reported_together():
     assert "not positive definite" in message
     assert "weight must be positive even" in message
     assert "not a slope" in message
-    assert len(err.value.problems) >= 4
+    assert "norm term 1 must be an object" in message
+    assert "surface 0 must be an object" in message
+    assert len(err.value.problems) >= 6
 
 
 def test_malformed_json(tmp_path):
@@ -260,6 +263,11 @@ def test_direct_construction_validates_membership():
             boundary_slopes=BoundarySlopeSet((Slope(0, 1), Slope(1, 1))),
             norm=CSNormData(((Slope(0, 1), 2), (Slope(3, 1), 2))),
         )
+    # the error load raises, with the same problems and text
+    with pytest.raises(ManifoldFormatError) as err:
+        ManifoldData(name="", boundary_slopes=BoundarySlopeSet((Slope(0, 1),)), meridian_norm_certificate=0)
+    assert err.value.problems == ["missing or empty name", "meridian_norm_certificate must be positive"]
+    assert str(err.value) == "invalid manifold document: missing or empty name; meridian_norm_certificate must be positive"
     with pytest.raises(ValueError, match="surface slope"):
         ManifoldData(
             name="x",

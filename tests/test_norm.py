@@ -49,6 +49,8 @@ def test_construction_validation():
         CSNormData(((Slope(4, 1), 2), (Slope(-4, -1), 2), (Slope(-4, 1), 2)))
     with pytest.raises(ValueError, match="at least two distinct slopes"):
         CSNormData(((Slope(4, 1), 2),))
+    with pytest.raises(TypeError, match="norm term slope must be a Slope"):
+        CSNormData((("4/1", 2), (Slope(-4, 1), 2)))
 
 
 def test_evaluate_fig8():
@@ -276,6 +278,8 @@ def test_boundary_slope_set_order_and_lookup():
     bset = BoundarySlopeSet((Slope(4, 1), MERIDIAN, Slope(-4, 1)))
     assert bset.finite == (Slope(-4, 1), Slope(4, 1))
     assert extremal_pair(bset) == (Slope(4, 1), Slope(-4, 1))
+    with pytest.raises(ValueError, match="need two finite boundary slopes"):
+        extremal_pair(BoundarySlopeSet((Slope(0, 1), MERIDIAN)))
     assert MERIDIAN in bset
     assert Slope(1, 2) not in bset
     assert Slope(-4, -1) in bset and Slope(4, -1) in bset

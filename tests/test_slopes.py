@@ -33,6 +33,12 @@ def test_normalize_rejects_zero():
         Slope(0, 0)
 
 
+@pytest.mark.parametrize("p, q", [(True, 1), (1, False), (1.0, 0), (3, 2.0)])
+def test_components_must_be_integers(p, q):
+    with pytest.raises(TypeError, match="slope components must be integers"):
+        Slope(p, q)
+
+
 def test_two_to_one_identification():
     rng = random.Random(11)
     for _ in range(200):

@@ -289,6 +289,11 @@ def test_prop_norm_fig8_equality_cases():
     rep = verify_prop_norm(FIG8.norm, Slope(4, 1), Slope(-4, 1), FIG8.boundary_slopes)
     assert rep.status == EQUALITY
     assert rep.lhs == "8" and rep.rhs == "8"
+    # against boundary slopes the norm does not fit, a bracketing pair's
+    # strict inequality breaks the equality it must meet
+    rep = verify_prop_norm(FIG8.norm, Slope(2, 1), Slope(-1, 1), BoundarySlopeSet((Slope(0, 1), Slope(1, 1))))
+    assert (rep.status, rep.summary) == (FAILS, "fails: 8 > 3")
+    assert rep.detail == "expected equality: the pair brackets every boundary slope"
 
 
 def test_prop_norm_strict_case():
@@ -380,6 +385,14 @@ def test_thm3_not_boundary_slope():
         verify_thm_diam(FIG8, Slope(1, 2))
 
 
+def test_thm3_and_cor_ubdiam_need_norm_data():
+    m = pretzel_dataset(7)  # two finite boundary slopes, no norm terms
+    rep = verify_thm_diam(m, m.boundary_slopes.finite[0])
+    assert (rep.status, rep.detail) == (NOT_APPLICABLE, "no norm data")
+    rep = verify_cor_ubdiam(m)
+    assert (rep.status, rep.detail) == (NOT_APPLICABLE, "needs norm data and two finite boundary slopes")
+
+
 def test_thm3_random_strict():
     rng = random.Random(44)
     for _ in range(100):
@@ -469,6 +482,8 @@ def test_family_ratio_invalid_n():
     for bad in (9, 5, 8, 15):
         with pytest.raises(ValueError, match="invalid n"):
             family_ratio_unbounded([7, bad])
+    with pytest.raises(ValueError, match="no parameters given"):
+        family_ratio_unbounded([])
 
 
 # -- orchestration ------------------------------------------------------------------
@@ -751,3 +766,19 @@ def test_standard_reports_evaluate_each_norm_once(monkeypatch):
         standard_reports(m, sweep_range=3)
         assert len(set(calls)) == len(calls), (m, calls)
         assert set(m.boundary_slopes.finite) <= set(calls)
+
+
+def test_standard_reports_compute_the_diameter_once(monkeypatch):
+    diam_ratio = BoundarySlopeSet._diam_ratio
+    calls = []
+
+    def counted(bset):
+        calls.append(bset)
+        return diam_ratio(bset)
+
+    monkeypatch.setattr(BoundarySlopeSet, "_diam_ratio", counted)
+    for m in [FIG8, *reference_documents(150, 65)]:
+        calls.clear()
+        reports = standard_reports(m, sweep_range=3)
+        assert len(calls) <= 1, m
+        assert len(calls) == any(r.statement.startswith("thm3(") for r in reports), m
