@@ -345,7 +345,8 @@ def run(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # as text output does, so that raw -r text cannot split the line
+        print(_printable(f"error: {exc}"), file=sys.stderr)
         return 2
 
 

@@ -64,8 +64,9 @@ class Slope:
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
-        """Parse "p/q" with an optional sign on p; a bare integer means p/1."""
-        s = text.strip()
+        """Parse "p/q" with an optional sign on p; a bare integer means p/1.
+        Anything else, a non-string included, raises ValueError."""
+        s = text.strip() if isinstance(text, str) else ""
         if not _SLOPE_TEXT.fullmatch(s):
             raise ValueError(f"not a slope: {text!r}")
         num, _, den = s.partition("/")

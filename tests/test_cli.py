@@ -256,6 +256,15 @@ def test_bad_slope_argument_named(fig8_path, capsys, argv, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("separator", ["\n", "\u2028"], ids=["newline", "U+2028"])
+def test_raw_slope_text_keeps_one_error_line(capsys, separator):
+    text = f"1{separator}checks: holds 99"
+    assert run(["eval", "distance", "-r", text, "-r", "1/1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: -r 1\ufffdchecks: holds 99: not a slope: {text!r}\n"
+
+
 def test_exit_code_on_failing_check(tmp_path, capsys):
     # inconsistent data: a surface whose slope is too long for the cusp shape
     doc = {

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,10 @@ def test_parse_and_str():
     for text in ("", "a/b", "1.5", "1/-2", "4 / 1"):
         with pytest.raises(ValueError):
             Slope.parse(text)
+    # a non-string is rejected as text is, as manifold._parse_rational rejects it
+    for value in (5, None, b"1/2"):
+        with pytest.raises(ValueError, match=f"^not a slope: {re.escape(repr(value))}$"):
+            Slope.parse(value)
 
 
 def test_text_is_rendered_once_and_not_compared():

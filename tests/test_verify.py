@@ -529,6 +529,40 @@ def test_report_serialization():
     assert d["witnesses"] == ["4/1"]
 
 
+def test_report_record_contract(monkeypatch):
+    rep = VerifyReport("thm3(4/1)", HOLDS, "8", "4", ">", ("4/1",), "d = 8")
+    assert repr(rep) == (
+        "VerifyReport(statement='thm3(4/1)', status='holds', lhs='8', rhs='4', "
+        "relation='>', witnesses=('4/1',), detail='d = 8')"
+    )
+    twin = VerifyReport("thm3(4/1)", HOLDS, lhs="8", rhs="4", relation=">", witnesses=("4/1",), detail="d = 8")
+    assert rep == twin and hash(rep) == hash(twin)
+    assert rep != VerifyReport("thm3(4/1)", FAILS, "8", "4", ">", ("4/1",), "d = 8")
+    assert repr(VerifyReport("prop6", NOT_APPLICABLE)) == (
+        "VerifyReport(statement='prop6', status='not-applicable', lhs='', rhs='', "
+        "relation='', witnesses=(), detail='')"
+    )
+    with pytest.raises(AttributeError):
+        rep.status = FAILS
+    d = rep.to_dict()
+    assert d == {
+        "statement": "thm3(4/1)", "status": HOLDS, "lhs": "8", "rhs": "4",
+        "relation": ">", "witnesses": ["4/1"], "detail": "d = 8",
+    }
+    # a wrapper of __init__ that passes the fields on sees every report built
+    # (benchmarks/tracing.py counts reports by status this way)
+    seen = []
+    init = VerifyReport.__init__
+
+    def counted_init(report, *args, **kwargs):
+        init(report, *args, **kwargs)
+        seen.append(report.status)
+
+    monkeypatch.setattr(VerifyReport, "__init__", counted_init)
+    verify_thm_diam(FIG8, Slope(4, 1))
+    assert seen == [HOLDS]
+
+
 # -- integer reports against the Fraction formulas ------------------------------------
 
 @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool))
