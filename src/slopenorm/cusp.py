@@ -12,10 +12,9 @@ sin^2 values.  Square roots are taken only for display.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import Slope, _tie_key, distance
+from .slopes import Slope, _Record, _tie_key, distance
 
 __all__ = ["CuspLattice", "cmp_sqrt3"]
 
@@ -48,33 +47,41 @@ def cmp_sqrt3(a: RationalLike, b: RationalLike, c: RationalLike) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CuspLattice:
+class CuspLattice(_Record):
     """Positive-definite Gram matrix of the horotorus translation lattice.
 
-    The `maximal` flag asserts that the horotorus is the maximal one, which
-    forces every slope to have length at least 1; construction rejects a
-    flagged lattice whose systole is shorter.
+    Each Gram entry is given as a Fraction, an int or a string that
+    Fraction reads; anything else, a bool or a float included, is refused
+    rather than coerced.  The `maximal` flag asserts that the horotorus is
+    the maximal one, which forces every slope to have length at least 1;
+    construction rejects a flagged lattice whose systole is shorter.
     """
 
+    _fields = ("g_mm", "g_ml", "g_ll", "maximal")
     g_mm: Fraction
     g_ml: Fraction
     g_ll: Fraction
-    maximal: bool = False
+    maximal: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.maximal, bool):
+    def __init__(self, g_mm: RationalLike, g_ml: RationalLike, g_ll: RationalLike, maximal: bool = False) -> None:
+        if not isinstance(maximal, bool):
             raise ValueError("cusp maximal flag must be a boolean")
-        gram = tuple(g if type(g) is Fraction else Fraction(g) for g in (self.g_mm, self.g_ml, self.g_ll))
-        for name, g in zip(("g_mm", "g_ml", "g_ll"), gram):
+        gram = []
+        for name, g in (("g_mm", g_mm), ("g_ml", g_ml), ("g_ll", g_ll)):
+            if type(g) is not Fraction:
+                if not isinstance(g, (Fraction, int, str)) or isinstance(g, bool):
+                    raise TypeError(f"cusp {name} must be a Fraction, an int or a string")
+                g = Fraction(g)
             object.__setattr__(self, name, g)
+            gram.append(g)
+        object.__setattr__(self, "maximal", maximal)
         scale = math.lcm(*(g.denominator for g in gram))
         a, b, c = (g.numerator * (scale // g.denominator) for g in gram)
         if a <= 0 or c <= 0 or a * c <= b * b:
             raise ValueError("Gram matrix is not positive definite")
         # (L, L*g_mm, L*g_ml, L*g_ll); not a field, so ==, hash and repr ignore it
         object.__setattr__(self, "_scaled", (scale, a, b, c))
-        if self.maximal:
+        if maximal:
             systole, _ = self.systole_squared()
             if systole < 1:
                 raise ValueError(f"maximal flag violates length >= 1 (systole^2 = {systole})")

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .cusp import CuspLattice
 from .norm import BoundarySlopeSet, CSNormData, is_norm_weight
-from .slopes import _SLOPE_TEXT, Slope
+from .slopes import _SLOPE_TEXT, Slope, _Record
 
 __all__ = [
     "SurfaceData",
@@ -45,45 +44,69 @@ def _parse_rational(text) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(_Record):
     """Record of one essential surface: slope, Euler characteristic,
     boundary-component count, and the strict / ideal-point flags."""
 
+    _fields = ("slope", "euler", "b", "strict", "ideal_point")
     slope: Slope
     euler: int
     b: int
-    strict: bool = False
-    ideal_point: bool = False
+    strict: bool
+    ideal_point: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.b, int) or isinstance(self.b, bool) or self.b < 1:
+    def __init__(self, slope: Slope, euler: int, b: int, strict: bool = False, ideal_point: bool = False) -> None:
+        if not isinstance(slope, Slope):
+            raise TypeError("surface slope must be a Slope")
+        if not isinstance(b, int) or isinstance(b, bool) or b < 1:
             raise ValueError("boundary component count must be a positive integer")
-        if not isinstance(self.euler, int) or isinstance(self.euler, bool):
+        if not isinstance(euler, int) or isinstance(euler, bool):
             raise ValueError("Euler characteristic must be an integer")
-        for key in ("strict", "ideal_point"):
-            if not isinstance(getattr(self, key), bool):
+        for key, flag in (("strict", strict), ("ideal_point", ideal_point)):
+            if not isinstance(flag, bool):
                 raise ValueError(f"surface {key} flag must be a boolean")
+        for name, value in zip(self._fields, (slope, euler, b, strict, ideal_point)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class ManifoldData:
-    """Named bundle of everything known about one manifold boundary."""
+class ManifoldData(_Record):
+    """Named bundle of everything known about one manifold boundary.
 
+    Each part must be of its own type, or None where it may be absent: a
+    wrong type raises TypeError, a violated invariant ManifoldFormatError."""
+
+    _fields = ("name", "boundary_slopes", "cusp", "norm", "surfaces", "meridian_norm_certificate")
     name: str
     boundary_slopes: BoundarySlopeSet
-    cusp: CuspLattice | None = None
-    norm: CSNormData | None = None
-    surfaces: tuple[SurfaceData, ...] = field(default=())
-    meridian_norm_certificate: int | None = None
+    cusp: CuspLattice | None
+    norm: CSNormData | None
+    surfaces: tuple[SurfaceData, ...]
+    meridian_norm_certificate: int | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
-        problems = _consistency_problems(
-            self.name, self.boundary_slopes, self.norm, self.surfaces, self.meridian_norm_certificate
-        )
+    def __init__(
+        self,
+        name: str,
+        boundary_slopes: BoundarySlopeSet,
+        cusp: CuspLattice | None = None,
+        norm: CSNormData | None = None,
+        surfaces: tuple[SurfaceData, ...] = (),
+        meridian_norm_certificate: int | None = None,
+    ) -> None:
+        surfaces = tuple(surfaces)
+        if not isinstance(boundary_slopes, BoundarySlopeSet):
+            raise TypeError("boundary_slopes must be a BoundarySlopeSet")
+        if cusp is not None and not isinstance(cusp, CuspLattice):
+            raise TypeError("cusp must be a CuspLattice or None")
+        if norm is not None and not isinstance(norm, CSNormData):
+            raise TypeError("norm must be a CSNormData or None")
+        for surf in surfaces:
+            if not isinstance(surf, SurfaceData):
+                raise TypeError("each surface must be a SurfaceData")
+        problems = _consistency_problems(name, boundary_slopes, norm, surfaces, meridian_norm_certificate)
         if problems:
             raise ManifoldFormatError(problems)
+        for key, value in zip(self._fields, (name, boundary_slopes, cusp, norm, surfaces, meridian_norm_certificate)):
+            object.__setattr__(self, key, value)
 
 
 def _consistency_problems(name, bset, norm, surfaces, certificate) -> list[str]:

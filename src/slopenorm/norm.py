@@ -9,11 +9,10 @@ whose vertices lie on the rays spanned by the stored slopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .slopes import Slope, _tie_key, _value_key
+from .slopes import Slope, _Record, _tie_key, _value_key
 
 __all__ = ["CSNormData", "BoundarySlopeSet"]
 
@@ -23,8 +22,7 @@ def is_norm_weight(weight) -> bool:
     return isinstance(weight, int) and not isinstance(weight, bool) and weight > 0 and weight % 2 == 0
 
 
-@dataclass(frozen=True)
-class CSNormData:
+class CSNormData(_Record):
     """Finite list of (slope, weight) terms defining the norm.
 
     Weights are even and at least 2; zero-weight slopes are simply not
@@ -32,11 +30,12 @@ class CSNormData:
     evaluation vanish only on the zero class.
     """
 
+    _fields = ("terms",)
     terms: tuple[tuple[Slope, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[Slope, int], ...]) -> None:
         cleaned = []
-        for slope, weight in self.terms:
+        for slope, weight in terms:
             if not isinstance(slope, Slope):
                 raise TypeError("norm term slope must be a Slope")
             if not is_norm_weight(weight):
@@ -138,23 +137,27 @@ class CSNormData:
         return self._direction_norm(p, q), _tie_key(p, q), (p, q)
 
 
-@dataclass(frozen=True)
-class BoundarySlopeSet:
+class BoundarySlopeSet(_Record):
     """Distinct slopes of essential surfaces, at least one of them finite."""
 
+    _fields = ("slopes",)
     slopes: tuple[Slope, ...]
 
-    def __post_init__(self) -> None:
-        slopes = tuple(self.slopes)
+    def __init__(self, slopes: tuple[Slope, ...]) -> None:
+        slopes = tuple(slopes)
+        for s in slopes:
+            if not isinstance(s, Slope):
+                raise TypeError("boundary slope must be a Slope")
         slopes = tuple(sorted(slopes, key=_value_key(slopes)))
         # the (p, q) pairs and the finite slopes are not fields, so ==, hash and repr ignore them
-        object.__setattr__(self, "_pairs", {(s.p, s.q) for s in slopes})
-        if len(self._pairs) != len(slopes):
+        pairs = {(s.p, s.q) for s in slopes}
+        if len(pairs) != len(slopes):
             raise ValueError("duplicate boundary slope")
         finite = tuple(s for s in slopes if not s.is_meridian)
         if not finite:
             raise ValueError("need at least one finite boundary slope")
         object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_finite", finite)
 
     @property

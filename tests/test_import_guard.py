@@ -5,7 +5,10 @@ than as slower commands.
 
 The baseline imports those standard-library modules itself, because what
 they pull in, and what a bare interpreter already holds, differ between
-Python versions and site setups."""
+Python versions and site setups.  On CPython 3.10 to 3.12 it loads none of
+dataclasses, inspect, ast, dis or tokenize: importing dataclasses pulls in
+all of them, about 9 ms of every command, so the records are plain classes
+and a dataclasses import anywhere in the package fails this test."""
 
 import os
 import subprocess
@@ -15,7 +18,7 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # the standard-library modules that slopenorm's modules import by name
-STDLIB_IMPORTS = "import __future__, argparse, dataclasses, fractions, itertools, json, math, re, sys, typing"
+STDLIB_IMPORTS = "import __future__, argparse, fractions, itertools, json, math, re, sys, typing"
 
 SLOPENORM_MODULES = {
     "slopenorm", "slopenorm.cli", "slopenorm.counting", "slopenorm.cusp",
