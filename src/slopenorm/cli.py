@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
 from . import families
 from .manifold import ManifoldData, _overwrite, document_text, load, save
@@ -60,7 +61,8 @@ FAMILIES = {
 }
 FAMILY_OPTIONS = {"n": "K", "crossings": "C"}  # option -> metavar
 
-# the largest --range: a sweep sieves the prime factors of 1..N, N + 1 ints
+# the largest --range: a sweep with a failing row sieves the prime factors
+# of 1..N (N + 1 ints); one that holds sieves nothing
 MAX_RANGE = 10**6
 
 
@@ -295,8 +297,13 @@ def _write_unit_ball_svg(m: ManifoldData, path: str) -> None:
     b = float(m.cusp.g_ml)
     c = float(m.cusp.g_ll)
     theta = 0.5 * math.atan2(2 * b, a - c)
-    lam1 = a * math.cos(theta) ** 2 + 2 * b * math.cos(theta) * math.sin(theta) + c * math.sin(theta) ** 2
-    lam2 = a * math.sin(theta) ** 2 - 2 * b * math.cos(theta) * math.sin(theta) + c * math.cos(theta) ** 2
+    # the larger eigenvalue, along theta, has no cancellation, and the smaller
+    # one is the exact determinant over it; Fraction raises OverflowError on an
+    # infinite lam1, and an underflow leaves lam1 or lam2 zero
+    lam1 = (a + c) / 2 + math.hypot((a - c) / 2, b)
+    lam2 = float(m.cusp.area_squared() / Fraction(lam1)) if lam1 else 0.0
+    if not lam2:
+        raise OverflowError("an axis of the unit-length ellipse is past the float range")
     rx, ry = 1.0 / math.sqrt(lam1), 1.0 / math.sqrt(lam2)
 
     extent = max(

@@ -29,14 +29,12 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
 
     All classes number 1 + 2*sum over d of mu(d)*(limit // d)^2, computed
     once (0 for limit <= 0).  A row q is factored only when one of its
-    pieces has a negative run, so a row with none costs only its piece
-    bounds and _negative_runs calls.
+    pieces has a negative run, and the prime-factor table of 1..limit is
+    sieved on the first such row: a sweep with no negative run builds no
+    table, and a row with none costs only its piece bounds and
+    _negative_runs calls.
     """
-    # factor[n] is a prime factor of n, for 2 <= n <= limit
-    factor = list(range(limit + 1))
-    for i in range(2, math.isqrt(max(limit, 0)) + 1):
-        if factor[i] == i:
-            factor[i * i :: i] = [i] * len(range(i * i, limit + 1, i))
+    factor = None  # factor[n] is a prime factor of n, once a run needs divisors
     # each side as an integer pair; an unbounded side as one past the box,
     # -limit/1 below and (limit + 1)/1 above, which every row clips to the box
     sides = []
@@ -49,12 +47,18 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
     for q in range(1, limit + 1):
         divisors = None  # squarefree divisors d of q with mu(d), once a run needs them
         for lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma in sides:
-            lo = max(-limit, -(-q * lower_p // lower_q))
-            hi = min(limit, -(-q * upper_p // upper_q) - 1)
+            lo = -(-q * lower_p // lower_q)
+            if lo < -limit:
+                lo = -limit
+            hi = -(-q * upper_p // upper_q) - 1
+            if hi > limit:
+                hi = limit
             if lo > hi:
                 continue
             for x, y in _negative_runs(alpha, q * beta, q * q * gamma, lo, hi):
                 if divisors is None:
+                    if factor is None:
+                        factor = _prime_factors(limit)
                     divisors = [(1, 1)]
                     n = q
                     while n > 1:
@@ -69,6 +73,16 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
                     # rays, so a negative d*(p, q) has (p, q) negative on an earlier row
                     first = (x, q)
     return negative, _coprime_total(limit), first
+
+
+def _prime_factors(limit: int) -> list[int]:
+    """A prime factor of each n in 2..limit, at index n (entries 0 and 1
+    are 0 and 1)."""
+    factor = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if factor[i] == i:
+            factor[i * i :: i] = [i] * len(range(i * i, limit + 1, i))
+    return factor
 
 
 def _coprime_total(limit: int) -> int:

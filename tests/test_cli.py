@@ -9,6 +9,7 @@ import pytest
 from slopenorm import (
     NOT_APPLICABLE,
     VerifyReport,
+    document_text,
     fig8_dataset,
     from_document,
     load,
@@ -163,6 +164,56 @@ def test_plot_unit_ball(fig8_path, tmp_path, capsys):
     ellipses = tree.getroot().findall(f".//{ns}ellipse")
     assert len(polygons) == 1
     assert len(ellipses) == 1
+    assert out.read_text() == FIG8_SVG
+
+
+FIG8_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.15 -1.15 2.3 2.3" width="520" height="520">
+  <title>figure-eight: norm unit ball scaled by norm(m) = 4, against the unit-length ellipse</title>
+  <line x1="-1.15" y1="0" x2="1.15" y2="0" stroke="#bbbbbb" stroke-width="0.00479167"/>
+  <line x1="0" y1="-1.15" x2="0" y2="1.15" stroke="#bbbbbb" stroke-width="0.00479167"/>
+  <polygon points="1,-0.25 -1,-0.25 -1,0.25 1,0.25" fill="none" stroke="#1f77b4" stroke-width="0.00958333"/>
+  <ellipse cx="0" cy="0" rx="0.288675" ry="1" transform="rotate(-90)" fill="none" stroke="#d62728" stroke-width="0.00958333"/>
+</svg>
+"""
+
+
+def thin_doc(g_mm, g_ml, g_ll):
+    """A figure-eight document with another Gram matrix."""
+    doc = json.loads(document_text(fig8_dataset()))
+    doc["cusp"] = {"g_mm": g_mm, "g_ml": g_ml, "g_ll": g_ll}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [("1", "100000000", "10000000000000001"), ("1", "100000020", "10000004000000401")],
+    ids=["cancels-to-zero", "cancels-below-zero"],
+)
+def test_plot_unit_ball_on_a_thin_lattice(tmp_path, capsys, gram):
+    # determinant 1, so the ellipse's area pi*rx*ry is pi/sqrt(det) = pi; the
+    # minor eigenvalue as a float difference would cancel to zero or below it
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(thin_doc(*gram)))
+    out = tmp_path / "ball.svg"
+    assert run(["plot", "unit-ball", "-m", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ellipse = ET.parse(out).getroot().find("{http://www.w3.org/2000/svg}ellipse")
+    rx, ry = float(ellipse.get("rx")), float(ellipse.get("ry"))
+    det = load(str(path)).cusp.area_squared()
+    assert f"{rx * ry:.6g}" == f"{1 / math.sqrt(det):.6g}"
+
+
+def test_plot_unit_ball_under_the_float_range(tmp_path, capsys):
+    # g_mm = 10^-400 is 0.0 as a float; the semi-axis 10^200 is finite, but
+    # its eigenvalue 10^-400 is not a positive float
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(thin_doc(f"1/{10**400}", "0", "1")))
+    svg = tmp_path / "ball.svg"
+    assert run(["plot", "unit-ball", "-m", str(path), "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == "error: plot needs cusp and norm values within the float range\n"
+    assert not svg.exists()
 
 
 # a valid document whose squared lengths are past the float range

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 from slopenorm import HOLDS, Slope, counting, fig8_dataset
 from slopenorm.counting import _count_coprime, _negative_runs, count_negative
+from slopenorm.verify import sweep_norm_vs_length
 from test_verify import brute_force_sweep, stretched, sweep_fields, thm1_manifold
 
 
@@ -81,7 +83,26 @@ def test_count_negative_matches_enumeration():
     for case in range(600):
         pieces = random_pieces(rng)
         limit = rng.randint(0, 25)
+        sides = sorted({(s.p, s.q) for piece in pieces for s in piece[:2] if s is not None})
+        if sides and rng.random() < 0.5:
+            # on row q a side p/q then lands on +-limit or next to it, where
+            # the row bounds are clipped to the box
+            p, _ = rng.choice(sides)
+            limit = max(0, abs(p) + rng.choice((-1, 0, 1)))
         assert count_negative(pieces, limit) == enumerate_negative(pieces, limit), (case, pieces, limit)
+
+
+def test_sweep_without_runs_builds_no_sieve():
+    # the figure-eight holds everywhere, so no row needs divisors; a
+    # prime-factor table of 1..10^5 alone would peak at about 4.7 MB
+    fig8 = fig8_dataset()
+    tracemalloc.start()
+    try:
+        assert sweep_norm_vs_length(fig8, 10**5).status == HOLDS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_total_matches_gcd_enumeration():
