@@ -16,40 +16,18 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import families
 from .manifold import ManifoldData, _overwrite, document_text, load, save
 from .slopes import _SLOPE_TEXT, Slope, distance
-from .verify import (
-    NOT_APPLICABLE,
-    VerifyReport,
-    _dec,
-    _finite_pair,
-    standard_reports,
-    sweep_norm_vs_length,
-    verify_norm_ge_length,
-    verify_prop_length,
-    verify_prop_norm,
-    verify_thm_diam,
-    verify_thm_length_norm,
-)
+from .verify import STATEMENTS, VerifyReport, _dec, _not_applicable, check, standard_reports, sweep_norm_vs_length
 
 __all__ = ["run", "main"]
 
 # each verify statement and the number of -r slopes it reads (None: any, 0: none)
-STATEMENT_SLOPES = {
-    "thm1": None,
-    "thm2": 2,
-    "thm3": None,
-    "prop-length": 2,
-    "prop-norm": 2,
-    "prop4": 0,
-    "prop6": 0,
-    "cor-ubdiam": 0,
-    "cor-euler": 0,
-    "all": 0,
-}
+STATEMENT_SLOPES = {**{s.name: s.arity for s in STATEMENTS.values()}, "all": 0}
 
 # each family kind: its builder in .families and the one option it reads, if
 # any; a builder is looked up when called, so that a wrapper installed on
@@ -193,34 +171,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _not_applicable(stmt: str, m: ManifoldData) -> VerifyReport:
-    return VerifyReport(stmt, NOT_APPLICABLE, detail=f"no {stmt} check applies to {m.name}")
-
-
-def _check_slopes(stmt: str, m: ManifoldData, slopes: list[Slope]) -> list[VerifyReport]:
-    """The checker of `stmt` on each -r slope (thm1, thm3) or on the -r pair;
-    a check's error names the slopes it was given."""
-    reports = []
-    for group in [[r] for r in slopes] if STATEMENT_SLOPES[stmt] is None else [slopes]:
-        try:
-            if stmt == "thm1":
-                reports.append(verify_norm_ge_length(m, *group))
-            elif stmt == "thm2":
-                reports.append(verify_thm_length_norm(m, *group))
-            elif stmt == "thm3":
-                reports.append(verify_thm_diam(m, *group))
-            else:
-                # before the data gate, so that a bad pair is rejected whatever the document holds
-                _finite_pair(*group)
-                if stmt == "prop-length" and m.cusp is not None:
-                    reports.append(verify_prop_length(m.cusp, *group))
-                elif stmt == "prop-norm" and m.norm is not None:
-                    reports.append(verify_prop_norm(m.norm, *group, m.boundary_slopes))
-        except ValueError as exc:
-            raise ValueError(" ".join(f"-r {r}" for r in group) + f": {exc}") from None
-    return reports
-
-
 def _cmd_verify(args) -> int:
     stmt = args.statement
     if args.slope and STATEMENT_SLOPES[stmt] == 0:
@@ -232,8 +182,13 @@ def _cmd_verify(args) -> int:
 
     if stmt == "thm1" and args.sweep:
         reports = [sweep_norm_vs_length(m, args.sweep)]
-    elif slopes:
-        reports = _check_slopes(stmt, m, slopes)
+    elif slopes:  # each -r slope, or the -r pair; a check's error names the slopes it was given
+        reports = []
+        for group in [[r] for r in slopes] if STATEMENT_SLOPES[stmt] is None else [slopes]:
+            try:
+                reports.append(check(stmt, m, *group))
+            except ValueError as exc:
+                raise ValueError(" ".join(f"-r {r}" for r in group) + f": {exc}") from None
     else:  # the lines of standard_reports whose statement is stmt
         reports = standard_reports(m, sweep_range=args.sweep)
         if stmt != "all":
@@ -274,13 +229,8 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         return _emit_reports(reports, "json")
     print(_printable(f"manifold: {m.name}"))
-    counts = {}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    print(
-        "checks: "
-        + ", ".join(f"{status} {n}" for status, n in sorted(counts.items()))
-    )
+    counts = Counter(r.status for r in reports)
+    print("checks: " + ", ".join(f"{status} {n}" for status, n in sorted(counts.items())))
     width = max(len(r.statement) for r in reports)
     for r in reports:
         print(_printable(f"  {r.statement:<{width}}  {r.summary}"))

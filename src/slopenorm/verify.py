@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from decimal import Context, Decimal
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .counting import count_negative
 from .cusp import CuspLattice, cmp_sqrt3
@@ -116,13 +116,11 @@ class VerifyReport(_ReportFields):
 
 def verify_norm_ge_length(m: ManifoldData, r: Slope) -> VerifyReport:
     """Check norm(r) >= (2/3) * length(r), exactly: 9*norm^2 >= 4*len^2."""
-    if m.cusp is None or m.norm is None:
-        return VerifyReport(f"thm1({r})", NOT_APPLICABLE, detail="needs both cusp shape and norm data")
-    return _thm1(m, r, m.norm.evaluate(r))
+    return check("thm1", m, r)
 
 
 def _thm1(m: ManifoldData, r: Slope, n: int) -> VerifyReport:
-    # the thm1 report where verify_norm_ge_length applies, given the norm n of r
+    # the thm1 report where the data allow it, given the norm n of r
     scale, len2 = m.cusp._scaled[0], m.cusp._qval(r.p, r.q)  # squared length len2/scale
     status, rel = _classify(9 * n * n * scale, 4 * len2)
     return VerifyReport(
@@ -145,8 +143,9 @@ def sweep_norm_vs_length(m: ManifoldData, limit: int) -> VerifyReport:
     sweep order: the meridian, then increasing q, then increasing p.
     """
     stmt = f"thm1[range {limit}]"
-    if m.cusp is None or m.norm is None:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="needs both cusp shape and norm data")
+    detail = _needs_cusp_and_norm(m)
+    if detail:
+        return VerifyReport(stmt, NOT_APPLICABLE, detail=detail)
     scale, a, b, c = m.cusp._scaled
     nine_l = 9 * scale
     pieces = [  # F = alpha*p^2 + 2*beta*p*q + gamma*q^2 per piece
@@ -287,18 +286,14 @@ def _prop_norm(norm: CSNormData, r1: Slope, r2: Slope, n1: int, n2: int, slopes:
 def verify_thm_length_norm(m: ManifoldData, r1: Slope, r2: Slope) -> VerifyReport:
     """Check the chain len(r1)/q1 + len(r2)/q2 > |r1 - r2| = norm side,
     for a pair bracketing every boundary slope on a maximal horotorus."""
-    _finite_pair(r1, r2)
-    stmt = f"thm2({r1}, {r2})"
-    if m.cusp is None or not m.cusp.maximal or m.norm is None:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="needs a maximal cusp shape and norm data")
-    gap = _bracketing_gap(m.boundary_slopes, r1, r2)
-    if gap:
-        return VerifyReport(stmt, NOT_APPLICABLE, witnesses=(str(gap[0]),), detail=gap[1])
-    return _thm2(m, r1, r2, m.norm.evaluate(r1), m.norm.evaluate(r2))
+    return check("thm2", m, r1, r2)
 
 
 def _thm2(m: ManifoldData, r1: Slope, r2: Slope, n1: int, n2: int) -> VerifyReport:
-    # the thm2 report for a finite pair that passed verify_thm_length_norm's checks, given its norms
+    # the thm2 report for a distinct finite pair where the data allow it, given its norms
+    gap = _bracketing_gap(m.boundary_slopes, r1, r2)
+    if gap:
+        return VerifyReport(f"thm2({r1}, {r2})", NOT_APPLICABLE, witnesses=(str(gap[0]),), detail=gap[1])
     a, b, c, den = _length_radicands(m.cusp, r1, r2)
     sign = cmp_sqrt3(a, b, c)
     norm_report = _prop_norm(m.norm, r1, r2, n1, n2, m.boundary_slopes)
@@ -324,20 +319,18 @@ def verify_thm_diam(m: ManifoldData, r: Slope) -> VerifyReport:
     tie is reported as a failure with diagnostics.  An r that is infinite or
     not a boundary slope raises ValueError whatever data m holds.
     """
-    stmt = f"thm3({r})"
+    return check("thm3", m, r)
+
+
+def _boundary_slope(m: ManifoldData, r: Slope) -> None:
     _finite(r)
     if r not in m.boundary_slopes:
         raise ValueError("not a boundary slope")
-    if m.norm is None:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="no norm data")
-    if len(m.boundary_slopes.finite) < 2:
-        return VerifyReport(stmt, NOT_APPLICABLE, detail="needs two finite boundary slopes")
-    return _thm3(m, r, m.norm.evaluate(r), m.boundary_slopes._diam_ratio())
 
 
 def _thm3(m: ManifoldData, r: Slope, rn: int, diam: tuple[int, int]) -> VerifyReport:
-    # the thm3 report for a slope that passed verify_thm_diam's checks, given
-    # its norm rn and the diameter as _diam_ratio gives it
+    # the thm3 report for a finite boundary slope where the data allow it,
+    # given its norm rn and the diameter as _diam_ratio gives it
     dn, dd = diam
     rd = r.q * m.norm.meridian_norm()
     status, rel = _classify(dn * rd, rn * dd, strict=True)
@@ -351,13 +344,11 @@ def _thm3(m: ManifoldData, r: Slope, rn: int, diam: tuple[int, int]) -> VerifyRe
 def verify_cor_ubdiam(m: ManifoldData) -> VerifyReport:
     """Check the two-term upper bound on the diameter from the extremal
     boundary slopes, plus the doubled max-term form."""
-    if m.norm is None or len(m.boundary_slopes.finite) < 2:
-        return VerifyReport("cor-ubdiam", NOT_APPLICABLE, detail="needs norm data and two finite boundary slopes")
-    return _cor_ubdiam(m, [m.norm.evaluate(s) for s in m.boundary_slopes.finite], m.boundary_slopes._diam_ratio())
+    return check("cor-ubdiam", m)
 
 
 def _cor_ubdiam(m: ManifoldData, norms: list[int], diam: tuple[int, int]) -> VerifyReport:
-    # the cor-ubdiam report where verify_cor_ubdiam applies, given the norms
+    # the cor-ubdiam report where the data allow it, given the norms
     # of the finite boundary slopes and the diameter as _diam_ratio gives it
     nm = m.norm.meridian_norm()
     s_top, s_bot = extremal_pair(m.boundary_slopes)
@@ -421,60 +412,160 @@ def _distinct_pairs(surfaces: list[SurfaceData]) -> list[tuple[SurfaceData, Surf
     return [(s1, s2) for s1, s2 in itertools.combinations(surfaces, 2) if s1.slope != s2.slope]
 
 
-# -- orchestration --------------------------------------------------------------
+# -- the statement table --------------------------------------------------------
+
+
+def _needs_cusp_and_norm(m: ManifoldData) -> str | None:
+    return "needs both cusp shape and norm data" if m.cusp is None or m.norm is None else None
+
+
+def _needs_diameter(m: ManifoldData) -> str | None:
+    if m.norm is None:
+        return "no norm data"
+    return "needs two finite boundary slopes" if len(m.boundary_slopes.finite) < 2 else None
+
+
+def _needs_cusp(m: ManifoldData) -> str | None:
+    return "" if m.cusp is None else None
+
+
+class _Document:
+    """The values of one document that several statements read, each computed
+    once: the finite boundary slopes' norms, the diameter where thm3 applies,
+    and the surfaces in slope order with their pairs of distinct slopes."""
+
+    def __init__(self, m: ManifoldData) -> None:
+        self.m, self.finite = m, m.boundary_slopes.finite
+        self.norms = [m.norm.evaluate(r) for r in self.finite] if m.norm is not None else []
+        self.diam = m.boundary_slopes._diam_ratio() if _needs_diameter(m) is None else None
+        self.surfaces = _surfaces_by_slope(m)
+        self.pairs = _distinct_pairs(self.surfaces)
+
+
+def _integral_pair(d: _Document) -> list[tuple]:
+    top, bot = integral_extremal_pair(d.m.boundary_slopes)
+    if top == bot:  # one integral finite slope rounds to itself both ways
+        return []
+    n_top = d.norms[-1] if top == d.finite[-1] else d.m.norm.evaluate(top)
+    n_bot = d.norms[0] if bot == d.finite[0] else d.m.norm.evaluate(bot)
+    return [(d.m, top, bot, n_top, n_bot)]
+
+
+def _surface_pairs(d: _Document) -> list[tuple[SurfaceData, SurfaceData]]:
+    return d.pairs
+
+
+def _cor_euler(s1: SurfaceData, s2: SurfaceData) -> VerifyReport | None:
+    # corollary_euler on a pair with finite slopes and negative Euler characteristics, else nothing
+    if all(not s.slope.is_meridian and s.euler < 0 for s in (s1, s2)):
+        return corollary_euler(s1, s2)
+    return None
+
+
+def _length_bound(lattice: CuspLattice, s: SurfaceData) -> VerifyReport:
+    ok = lattice.agol_check(s)
+    lhs = _ratio(lattice._qval(s.slope.p, s.slope.q) * s.b * s.b, lattice._scaled[0])
+    return VerifyReport(
+        f"length-bound({s.slope})", HOLDS if ok else FAILS, lhs, str(36 * s.euler * s.euler),
+        "<=" if ok else ">", witnesses=(str(s.slope),),
+    )
+
+
+def _pair(m: ManifoldData, r1: Slope, r2: Slope) -> None:
+    _finite_pair(r1, r2)
+
+
+class _Statement(NamedTuple):
+    """One statement: its name, the -r slopes it reads (None: any number, one
+    check each; 2: one pair; 0: none), and its applicability test, which
+    returns None when the document's data allow the check and else the
+    not-applicable detail ("" when it has none of its own: then the report
+    is the generic one, "no NAME check applies to DOCUMENT").  `defaults` gives the
+    builder's argument tuples for standard_reports.  The builder is named,
+    and looked up in this module when called, so that a wrapper installed on
+    it (as benchmarks/tracing.py installs one) is the one that runs.  For -r
+    slopes, `takes` raises on slopes the check cannot take, whatever data
+    the document holds, and `given` turns them into the builder's arguments."""
+
+    name: str
+    arity: int | None
+    needs: Callable[[ManifoldData], str | None]
+    defaults: Callable[[_Document], list[tuple]]
+    build: str
+    takes: Callable[..., None] | None = None
+    given: Callable[..., tuple] | None = None
+
+
+# every statement, in the order of standard_reports
+STATEMENTS = {s.name: s for s in (
+    _Statement("thm1", None, _needs_cusp_and_norm,  # each finite boundary slope, then the meridian, which sorts last
+               lambda d: [(d.m, r, n) for r, n in zip(d.finite, d.norms)] + [(d.m, MERIDIAN, d.m.norm.meridian_norm())],
+               "_thm1", None, lambda m, r: (m, r, m.norm.evaluate(r))),
+    _Statement("thm2", 2, lambda m: None if m.cusp is not None and m.cusp.maximal and m.norm is not None
+               else "needs a maximal cusp shape and norm data",
+               _integral_pair, "_thm2", _pair, lambda m, r1, r2: (m, r1, r2, m.norm.evaluate(r1), m.norm.evaluate(r2))),
+    _Statement("prop-length", 2, _needs_cusp, lambda d: [(d.m.cusp, *extremal_pair(d.m.boundary_slopes))] if len(d.finite) >= 2 else [],
+               "verify_prop_length", _pair, lambda m, r1, r2: (m.cusp, r1, r2)),
+    _Statement("prop-norm", 2, lambda m: "" if m.norm is None else None,
+               lambda d: [(d.m.norm, d.finite[-1], d.finite[0], d.norms[-1], d.norms[0], d.m.boundary_slopes)] if len(d.finite) >= 2 else [],
+               "_prop_norm", _pair, lambda m, r1, r2: (m.norm, r1, r2, m.norm.evaluate(r1), m.norm.evaluate(r2), m.boundary_slopes)),
+    _Statement("thm3", None, _needs_diameter, lambda d: [(d.m, r, n, d.diam) for r, n in zip(d.finite, d.norms)],
+               "_thm3", _boundary_slope, lambda m, r: (m, r, m.norm.evaluate(r), m.boundary_slopes._diam_ratio())),
+    _Statement("cor-ubdiam", 0, lambda m: _needs_diameter(m) and "needs norm data and two finite boundary slopes",
+               lambda d: [(d.m, d.norms, d.diam)], "_cor_ubdiam",
+               given=lambda m: (m, [m.norm.evaluate(r) for r in m.boundary_slopes.finite], m.boundary_slopes._diam_ratio())),
+    _Statement("prop4", 0, lambda m: None if any(s.ideal_point and s.euler < 0 for s in m.surfaces) else "",
+               lambda d: [(d.pairs,)], "_prop4"),
+    # prop6 and cor-euler read the same pairs, so standard_reports prints each pair's two lines together
+    _Statement("prop6", 0, lambda m: None, _surface_pairs, "prop6_condition"),
+    _Statement("cor-euler", 0, lambda m: None, _surface_pairs, "_cor_euler"),
+    _Statement("length-bound", 0, _needs_cusp, lambda d: [(d.m.cusp, s) for s in d.surfaces if s.euler < 0], "_length_bound"),
+)}
+
+
+# runs of consecutive statements with the same defaults, which standard_reports checks item by item together
+_GROUPS = [(defaults, list(rows)) for defaults, rows in itertools.groupby(STATEMENTS.values(), key=lambda s: s.defaults)]
+
+
+def _not_applicable(name: str, m: ManifoldData) -> VerifyReport:
+    return VerifyReport(name, NOT_APPLICABLE, detail=f"no {name} check applies to {m.name}")
+
+
+def check(name: str, m: ManifoldData, *slopes: Slope) -> VerifyReport:
+    """Statement `name` on the given slopes, or on the whole document when
+    it takes none: a ValueError for slopes the check cannot take, whatever
+    data m holds; then a not-applicable report where the data do not allow
+    the check; else the check's report."""
+    s = STATEMENTS[name]
+    if s.takes:
+        s.takes(m, *slopes)
+    detail = s.needs(m)
+    if detail == "":
+        return _not_applicable(name, m)
+    if detail is not None:
+        return VerifyReport(f"{name}({', '.join(map(str, slopes))})" if slopes else name, NOT_APPLICABLE, detail=detail)
+    return globals()[s.build](*s.given(m, *slopes))
 
 
 def standard_reports(m: ManifoldData, sweep_range: int | None = None) -> list[VerifyReport]:
-    """Every applicable check on one manifold, in a deterministic order.
+    """Every applicable check on one manifold, in the order of STATEMENTS,
+    with the thm1 sweep over |p|, q <= sweep_range, if given, after the
+    thm1 lines.
 
     The CLI's `verify STMT` prints the reports whose statement, up to `(`, is STMT.
-    Each finite boundary slope's norm is evaluated once, the diameter is
-    computed once, and the surfaces are sorted once.
+    Consecutive statements with the same defaults are checked item by item
+    together.  Each finite boundary slope's norm is evaluated once, the
+    diameter is computed once, and the surfaces are sorted once.
     """
     reports: list[VerifyReport] = []
-    finite = m.boundary_slopes.finite
-    norms = [m.norm.evaluate(r) for r in finite] if m.norm is not None else []
-
-    if m.cusp is not None and m.norm is not None:
-        reports += [_thm1(m, r, n) for r, n in zip(finite, norms)]
-        reports.append(_thm1(m, MERIDIAN, m.norm.meridian_norm()))  # the meridian sorts last
-        if sweep_range:
+    doc = _Document(m)
+    for defaults, rows in _GROUPS:
+        builders = [globals()[s.build] for s in rows if s.needs(m) is None]
+        for args in defaults(doc) if builders else ():
+            for build in builders:
+                report = build(*args)
+                if report is not None:
+                    reports.append(report)
+        if sweep_range and builders and rows[0].name == "thm1":
             reports.append(sweep_norm_vs_length(m, sweep_range))
-
-    if m.cusp is not None and m.cusp.maximal and m.norm is not None:
-        top, bot = integral_extremal_pair(m.boundary_slopes)
-        if top != bot:  # one integral finite slope rounds to itself both ways
-            n_top = norms[-1] if top == finite[-1] else m.norm.evaluate(top)
-            n_bot = norms[0] if bot == finite[0] else m.norm.evaluate(bot)
-            reports.append(_thm2(m, top, bot, n_top, n_bot))
-
-    if len(finite) >= 2:
-        top, bot = extremal_pair(m.boundary_slopes)
-        if m.cusp is not None:
-            reports.append(verify_prop_length(m.cusp, top, bot))
-        if m.norm is not None:
-            reports.append(_prop_norm(m.norm, top, bot, norms[-1], norms[0], m.boundary_slopes))
-            diam = m.boundary_slopes._diam_ratio()
-            reports += [_thm3(m, r, n, diam) for r, n in zip(finite, norms)]
-            reports.append(_cor_ubdiam(m, norms, diam))
-
-    surfaces = _surfaces_by_slope(m)
-    pairs = _distinct_pairs(surfaces)
-    if any(s.ideal_point and s.euler < 0 for s in surfaces):
-        reports.append(_prop4(pairs))
-
-    for s1, s2 in pairs:
-        reports.append(prop6_condition(s1, s2))
-        if all(not s.slope.is_meridian and s.euler < 0 for s in (s1, s2)):
-            reports.append(corollary_euler(s1, s2))
-
-    if m.cusp is not None:
-        for s in surfaces:
-            if s.euler < 0:
-                ok = m.cusp.agol_check(s)
-                lhs = _ratio(m.cusp._qval(s.slope.p, s.slope.q) * s.b * s.b, m.cusp._scaled[0])
-                reports.append(VerifyReport(
-                    f"length-bound({s.slope})", HOLDS if ok else FAILS, lhs, str(36 * s.euler * s.euler),
-                    "<=" if ok else ">", witnesses=(str(s.slope),),
-                ))
     return reports

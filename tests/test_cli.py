@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import re
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -464,15 +466,23 @@ STATEMENT_GRID = {
         fig8_dataset(),
         {
             "thm1": [H, H, H], "thm2": [H], "thm3": [H, H], "prop-length": [H], "prop-norm": [E],
-            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [E], "cor-euler": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [E], "cor-euler": [NA], "length-bound": [NA],
             "all": [H, H, H, H, H, E, H, H, E],
+        },
+    ),
+    "readme-example": (  # the figure-eight with one ideal-point surface, at 4/1
+        from_document({**README_DOC, "name": "readme-example"}),
+        {
+            "thm1": [H, H, H], "thm2": [H], "thm3": [H, H], "prop-length": [H], "prop-norm": [E],
+            "prop4": [F], "prop6": [NA], "cor-ubdiam": [E], "cor-euler": [NA], "length-bound": [H],
+            "all": [H, H, H, H, H, E, H, H, E, F, H],
         },
     ),
     "cusp-only": (  # no norm data
         from_document(CUSP_ONLY_DOC),
         {
             "thm1": [NA], "thm2": [NA], "thm3": [NA], "prop-length": [H], "prop-norm": [NA],
-            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA], "length-bound": [NA],
             "all": [H],
         },
     ),
@@ -480,7 +490,7 @@ STATEMENT_GRID = {
         pretzel_dataset(7),
         {
             "thm1": [NA], "thm2": [NA], "thm3": [NA], "prop-length": [NA], "prop-norm": [NA],
-            "prop4": [H], "prop6": [H], "cor-ubdiam": [NA], "cor-euler": [H],
+            "prop4": [H], "prop6": [H], "cor-ubdiam": [NA], "cor-euler": [H], "length-bound": [NA],
             "all": [H, H, H],
         },
     ),
@@ -488,7 +498,7 @@ STATEMENT_GRID = {
         from_document(ONE_FINITE_SLOPE_DOC),
         {
             "thm1": [NA], "thm2": [NA], "thm3": [NA], "prop-length": [NA], "prop-norm": [NA],
-            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA], "length-bound": [NA],
             "all": [NA],
         },
     ),
@@ -496,7 +506,7 @@ STATEMENT_GRID = {
         from_document(ONE_FINITE_SLOPE_MAXIMAL_DOC),
         {
             "thm1": [F, H], "thm2": [NA], "thm3": [NA], "prop-length": [NA], "prop-norm": [NA],
-            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA],
+            "prop4": [NA], "prop6": [NA], "cor-ubdiam": [NA], "cor-euler": [NA], "length-bound": [NA],
             "all": [F, H],
         },
     ),
@@ -514,6 +524,38 @@ def test_statement_grid(tmp_path, capsys, shape, statement):
     save(document, path)
     assert run(["verify", statement, "-m", str(path), "--format", "json"]) == (1 if F in expected[statement] else 0)
     assert [r["status"] for r in json.loads(capsys.readouterr().out)] == expected[statement]
+
+
+# a maximal cusp, norm data, two finite boundary slopes and two ideal-point
+# surfaces: standard_reports prints a line of every statement on it
+EVERY_STATEMENT_DOC = {
+    **README_DOC,
+    "name": "every-statement",
+    "surfaces": [
+        {"slope": "4/1", "euler": -1, "boundary_components": 1, "ideal_point": True},
+        {"slope": "-4/1", "euler": -2, "boundary_components": 1, "ideal_point": True},
+    ],
+}
+
+
+def test_statement_table_drift(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(EVERY_STATEMENT_DOC))
+    everything = _json_reports(capsys, ["verify", "all", "-m", str(path)])
+    prefixes = list(dict.fromkeys(r["statement"].split("(")[0] for r in everything))
+    assert prefixes == [s for s in STATEMENT_SLOPES if s != "all"]
+    # each prefix is a verify choice that prints exactly its lines of verify all
+    for prefix in prefixes:
+        assert _json_reports(capsys, ["verify", prefix, "-m", str(path)]) == [
+            r for r in everything if r["statement"].split("(")[0] == prefix
+        ], prefix
+    # the README's statement table lists the same statements in the same order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| statement "):].split("\n\n")[0]
+    assert re.findall(r"^\| `([\w-]+)` ", table, re.M) == prefixes
+    assert run(["verify", "length-bound", "-m", str(path), "-r", "4/1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: length-bound takes no -r/--slope arguments\n"
 
 
 @pytest.mark.parametrize("document", [ONE_FINITE_SLOPE_DOC, ONE_FINITE_SLOPE_MAXIMAL_DOC], ids=lambda d: d["name"])

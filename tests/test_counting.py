@@ -1,10 +1,9 @@
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 from slopenorm import HOLDS, Slope, counting, fig8_dataset
-from slopenorm.counting import _count_coprime, _negative_runs, count_negative
+from slopenorm.counting import _count_coprime, _negative_runs, _prime_factors, count_negative
 from slopenorm.verify import sweep_norm_vs_length
 from test_verify import brute_force_sweep, stretched, sweep_fields, thm1_manifold
 
@@ -92,17 +91,18 @@ def test_count_negative_matches_enumeration():
         assert count_negative(pieces, limit) == enumerate_negative(pieces, limit), (case, pieces, limit)
 
 
-def test_sweep_without_runs_builds_no_sieve():
-    # the figure-eight holds everywhere, so no row needs divisors; a
-    # prime-factor table of 1..10^5 alone would peak at about 4.7 MB
-    fig8 = fig8_dataset()
-    tracemalloc.start()
-    try:
-        assert sweep_norm_vs_length(fig8, 10**5).status == HOLDS
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+def test_sweep_without_runs_builds_no_sieve(monkeypatch):
+    # the figure-eight holds everywhere, so no row needs divisors and the
+    # prime-factor table of 1..10^5 is never built
+    calls = []
+
+    def counted(limit):
+        calls.append(limit)
+        return _prime_factors(limit)
+
+    monkeypatch.setattr(counting, "_prime_factors", counted)
+    assert sweep_norm_vs_length(fig8_dataset(), 10**5).status == HOLDS
+    assert calls == []
 
 
 def test_total_matches_gcd_enumeration():
