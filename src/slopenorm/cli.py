@@ -44,13 +44,17 @@ FAMILY_OPTIONS = {"n": "K", "crossings": "C"}  # option -> metavar
 MAX_RANGE = 10**6
 
 
+# -r and every prefix of --slope that argparse reads as --slope
+SLOPE_FLAGS = {"-r", *("--slope"[:n] for n in range(3, 8))}
+
+
 def _merge_slope_flags(argv: list[str]) -> list[str]:
     # argparse mistakes "-4/1" for an option; fold it into "--slope=-4/1"
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in ("-r", "--slope") and i + 1 < len(argv) and argv[i + 1].startswith("-") and _SLOPE_TEXT.fullmatch(argv[i + 1]):
+        if token in SLOPE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-") and _SLOPE_TEXT.fullmatch(argv[i + 1]):
             out.append(f"--slope={argv[i + 1]}")
             i += 2
         else:

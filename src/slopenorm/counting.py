@@ -32,7 +32,10 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
     pieces has a negative run, and the prime-factor table of 1..limit is
     sieved on the first such row: a sweep with no negative run builds no
     table, and a row with none costs only its piece bounds and
-    _negative_runs calls.
+    _negative_runs calls.  A piece is visited only on the rows where it can
+    meet the box: one with a lower side above 0 or an upper side below 0
+    leaves the box after a last row, found once per call by floor
+    division, and is dropped from the rows past it.
     """
     factor = None  # factor[n] is a prime factor of n, once a run needs divisors
     # each side as an integer pair; an unbounded side as one past the box,
@@ -41,12 +44,32 @@ def count_negative(pieces: list[Piece], limit: int) -> tuple[int, int, tuple[int
     for lower, upper, alpha, beta, gamma in pieces:
         lower_p, lower_q = (-limit, 1) if lower is None else (lower.p, lower.q)
         upper_p, upper_q = (limit + 1, 1) if upper is None else (upper.p, upper.q)
-        sides.append((lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma))
+        # the last row where the piece can meet the box: past it a lower
+        # side above 0 has lower*q > limit, an upper side below 0 has
+        # upper*q <= -limit, and the row's slice is empty
+        if lower_p > 0:
+            last = limit * lower_q // lower_p
+        elif upper_p < 0:
+            last = -(limit * upper_q // upper_p) - 1
+        else:
+            last = limit
+        sides.append((last, lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma))
+    # in increasing order, the last rows grow over the pieces below 0, are
+    # limit over the pieces that span 0 and shrink over those above it, so
+    # the pieces to drop are at the two ends and the earliest kept last row
+    # is at one of them
+    drop = 0
     negative = 0
     first = None
     for q in range(1, limit + 1):
+        if q > drop:
+            while sides and sides[-1][0] < q:
+                sides.pop()
+            while sides and sides[0][0] < q:
+                del sides[0]
+            drop = min(sides[0][0], sides[-1][0]) if sides else limit
         divisors = None  # squarefree divisors d of q with mu(d), once a run needs them
-        for lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma in sides:
+        for _, lower_p, lower_q, upper_p, upper_q, alpha, beta, gamma in sides:
             lo = -(-q * lower_p // lower_q)
             if lo < -limit:
                 lo = -limit

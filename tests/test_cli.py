@@ -91,6 +91,19 @@ def test_verify_negative_slope_flags(fig8_path, capsys):
     assert "equality: 10 = 10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["-r", "--s", "--sl", "--slo", "--slop", "--slope"])
+def test_negative_slope_after_every_slope_spelling(fig8_path, capsys, flag):
+    # argparse reads each prefix of --slope as --slope, so each takes "-4/1"
+    assert run(["verify", "thm3", "-m", fig8_path, flag, "-4/1"]) == 0
+    assert capsys.readouterr().out == "thm3(-4/1): holds: 8 > 4\n"
+    assert run(["eval", "norm", "-m", fig8_path, flag, "-4/1"]) == 0
+    assert capsys.readouterr().out == "16\n"
+    # commands that read no slope still reject it
+    assert run(["report", "-m", fig8_path, flag, "-4/1"]) == 2
+    assert run(["family", "fig8", flag, "-4/1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_prop4_pretzel(pretzel_path, capsys):
     assert run(["verify", "prop4", "-m", pretzel_path]) == 0
     assert "holds" in capsys.readouterr().out

@@ -77,7 +77,35 @@ def enumerate_negative(pieces, limit):
     return negative, total, first
 
 
+def row_bound_edges():
+    """Pieces at the edges of the last row where a piece meets the box,
+    each under a form negative everywhere and one negative on a run."""
+    cases = [
+        # 15/2 leaves the box on row 2 (p = 15 kept), row 3 is empty
+        ([(Slope(15, 2), None)], 15),
+        # the mirror: p/q < -15/2 holds on row 1 only, as the side is open
+        ([(None, Slope(-15, 2))], 15),
+        ([(None, Slope(-15, 2)), (Slope(-15, 2), Slope(15, 2)), (Slope(15, 2), None)], 15),
+        # wholly beyond +-limit
+        ([(Slope(20, 1), None)], 15),
+        ([(None, Slope(-20, 1))], 15),
+        ([(Slope(-40, 1), Slope(-16, 1)), (Slope(16, 1), Slope(40, 1))], 15),
+        # leaving the box after row 1
+        ([(Slope(8, 1), None)], 15),
+        ([(None, Slope(-8, 1))], 15),
+        ([(None, Slope(-14, 1)), (Slope(15, 1), None)], 15),
+        # a one-row box
+        ([(None, Slope(-1, 1)), (Slope(-1, 1), Slope(1, 1)), (Slope(1, 1), None)], 1),
+        ([(Slope(1, 1), Slope(2, 1)), (Slope(2, 1), None)], 1),
+    ]
+    for sides, limit in cases:
+        for form in ((0, 0, -1), (-1, 0, 60)):
+            yield [(lower, upper, *form) for lower, upper in sides], limit
+
+
 def test_count_negative_matches_enumeration():
+    for pieces, limit in row_bound_edges():
+        assert count_negative(pieces, limit) == enumerate_negative(pieces, limit), (pieces, limit)
     rng = random.Random(53)
     for case in range(600):
         pieces = random_pieces(rng)
